@@ -40,7 +40,6 @@ from .errors import (
     DomainError,
     FactorizationError,
     InsufficientDataError,
-    NumericalError,
     PairdomError,
     ParameterError,
 )
@@ -62,7 +61,6 @@ from .gptest import (
     build_covariance,
     build_grid,
     pvalue_bounds,
-    regularized_cholesky,
     test_st_wj,
     test_st_wj_discrete_support,
 )

@@ -47,7 +47,7 @@ def _cmd_test(args) -> int:
     _write_or_print(_json_text(result.to_json_dict()), args.output)
     print(
         f"n={result.n} statistic={result.statistic:.6g} p1={result.p1:.4g} "
-        f"p2={result.p2:.4g} reject@0.05={result.reject_at(0.05)}",
+        f"reject@0.05={result.reject_at(0.05)}",
         file=sys.stderr,
     )
     return 0

@@ -21,10 +21,6 @@ class FactorizationError(PairdomError):
     """A covariance matrix is not positive semidefinite up to tolerance."""
 
 
-class NumericalError(PairdomError):
-    """A numerical routine failed after exhausting its recovery ladder."""
-
-
 class CapacityError(PairdomError):
     """An exact computation would exceed its configured size cap."""
 

@@ -12,22 +12,41 @@ survivals of the two difference samples. The cross moments reduce to the
 common survival at the larger grid point because, for s, t >= 0, the
 events {X - Y > s} and {Y - X > t} are incompatible.
 
-The p-value upper bound is approximated by simulating the multivariate
-normal vector on the grid: p1 counts simulated maxima above the observed
-statistic, p2 is one minus the fraction of simulations lying entirely at
-or below it (a rectangle probability). With draws shared between the two
-estimators they coincide; both are reported so that a deterministic
-rectangle-probability algorithm can replace p2 later.
+Cell form. The process is the limit of the centred mean of
+l_t(d) = sign(d) * 1{|d| > t}, so on the grid a pair matters only through
+the sign of d and the number m of grid points below |d|. Grouping the
+nonzero differences by m gives M cells with shares r_m = #{m_i = m}/n and
+signed shares q_m = sum sign(d_i)/n. The cell totals V are multinomial,
+Cov V = diag(r) - q q^T, and the process is the suffix sum
+W(t_j) = sum_{m > j} V_m, so Sigma = A (diag r - q q^T) A^T with
+A[j, m] = 1{m > j}. pvalue_bounds draws V exactly as
+
+    V = sqrt(r) * (Z - gamma w w^T Z),   w = q / sqrt(r),
+    gamma = 1 / (1 + sqrt(1 - |w|^2)),
+
+since (I - gamma w w^T)^2 = I - w w^T; |w|^2 <= sum r <= 1 because
+|q_m| <= r_m. A draw takes M normals and O(M) work. No matrix is formed or
+factorized, so nothing needs a diagonal regularization to stay positive
+definite.
+
+Ties. p1 counts the draws whose maximum exceeds the statistic plus half
+of those whose maximum equals it (the mid-p rule). The process is exactly
+0 at grid points at or past the largest |d| (the last point of the
+build_grid grid is one), and the statistic is 0 whenever Fbar <= Gbar on
+the candidate set, so ties happen, and only at statistic 0. A dense draw
+with a vanishing regularization puts that zero-variance point above 0 in
+half the draws; counting ties one half keeps p1 where such a draw puts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalSurvival, PairedSample, statistic_stwj, survival_at
-from .errors import DegenerateSampleError, NumericalError, ParameterError
+from .empirical import PairedSample, statistic_stwj
+from .errors import DegenerateSampleError, ParameterError
 from .seeding import make_rng
 
 __all__ = [
@@ -36,7 +55,6 @@ __all__ = [
     "TestResult",
     "build_grid",
     "build_covariance",
-    "regularized_cholesky",
     "pvalue_bounds",
     "test_st_wj",
     "test_st_wj_discrete_support",
@@ -44,7 +62,6 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 100
 DEFAULT_N_SIMS = 10_000
-DECISION_LEVELS = (0.05, 0.01)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,61 +85,66 @@ class Grid:
         return len(self.points) - 1
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GpCovariance:
-    """Covariance of the limiting Gaussian process on a grid.
+    """Covariance of the limiting Gaussian process on a grid, in cell form.
 
-    jitter_applied records the diagonal regularization that made the
-    Cholesky factorization succeed (0.0 before factorization).
+    Cell c holds the nonzero differences with exactly cell[c] grid points
+    below |d| (strictly increasing, from 1 to n_points); r[c] is its share
+    of all n pairs and q[c] its sum of sign(d) over n.
     """
 
-    matrix: np.ndarray
-    jitter_applied: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError("covariance must be a square matrix")
-        if np.abs(m - m.T).max() > 1e-12:
-            raise ParameterError("covariance must be symmetric")
-        object.__setattr__(self, "matrix", m)
+    cell: np.ndarray
+    r: np.ndarray
+    q: np.ndarray
+    n_points: int
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        """Normals per draw: the number of nonempty cells."""
+        return len(self.cell)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n_points x n_points covariance A (diag r - q q^T) A^T."""
+        a = (self.cell[None, :] > np.arange(self.n_points)[:, None]).astype(float)
+        gap = a @ self.q
+        return (a * self.r) @ a.T - np.outer(gap, gap)
 
 
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of the dominance test.
 
-    decisions maps a significance level to True when the test rejects,
-    which happens exactly when min(p1, p2) is below the level.
+    cells is the simulation's effective dimension (GpCovariance.dim) and
+    p_se the Monte Carlo standard error of p1.
     """
 
     statistic: float
     p1: float
-    p2: float
     n: int
     k: int
+    cells: int
     n_sims: int
     seed: int
-    jitter: float
-    decisions: dict[float, bool] = field(default_factory=dict)
+
+    @property
+    def p_se(self) -> float:
+        return math.sqrt(self.p1 * (1.0 - self.p1) / self.n_sims)
 
     def reject_at(self, level: float) -> bool:
-        return min(self.p1, self.p2) < level
+        return self.p1 < level
 
     def to_json_dict(self) -> dict:
         return {
             "statistic": self.statistic,
             "p1": self.p1,
-            "p2": self.p2,
+            "p_se": self.p_se,
             "n": self.n,
             "k": self.k,
+            "cells": self.cells,
             "n_sims": self.n_sims,
             "seed": self.seed,
-            "jitter": self.jitter,
             "reject_at_0_05": self.reject_at(0.05),
             "reject_at_0_01": self.reject_at(0.01),
         }
@@ -144,54 +166,25 @@ def build_grid(s: PairedSample, k: int = DEFAULT_GRID_POINTS) -> Grid:
 
 
 def build_covariance(g: Grid, s: PairedSample) -> GpCovariance:
-    """Covariance matrix with empirical survivals plugged in; no jitter yet."""
+    """Cell form of the covariance with the empirical survivals plugged in."""
     d = s.x - s.y
-    f = survival_at(EmpiricalSurvival.from_values(d), g.points)
-    gbar = survival_at(EmpiricalSurvival.from_values(-d), g.points)
-    gap = f - gbar
-    idx = np.arange(len(g.points))
-    hi = np.maximum.outer(idx, idx)
-    matrix = (f + gbar)[hi] - np.outer(gap, gap)
-    return GpCovariance(matrix=matrix)
-
-
-def regularized_cholesky(c: GpCovariance, eps: float = 1e-10) -> np.ndarray:
-    """Lower Cholesky factor of matrix + eps*I, escalating eps by factors
-    of 10 up to 1e-6; records the final eps in c.jitter_applied."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
-    m = c.matrix
-    eye = np.eye(c.dim)
-    ladder = [eps]
-    while ladder[-1] * 10.0 <= 1e-6 * (1.0 + 1e-9):
-        ladder.append(ladder[-1] * 10.0)
-    for current in ladder:
-        try:
-            factor = np.linalg.cholesky(m + current * eye)
-        except np.linalg.LinAlgError:
-            continue
-        c.jitter_applied = current
-        return factor
-    diag = np.diag(m)
-    raise NumericalError(
-        f"cholesky failed at jitter {ladder[-1]:.1e} for a "
-        f"{c.dim}x{c.dim} covariance (diag range "
-        f"[{diag.min():.3e}, {diag.max():.3e}])"
-    )
+    d = d[d != 0.0]
+    below = np.searchsorted(g.points, np.abs(d), side="left")
+    cell, inverse = np.unique(below, return_inverse=True)
+    r = np.bincount(inverse, minlength=len(cell)) / s.n
+    q = np.bincount(inverse, weights=np.sign(d), minlength=len(cell)) / s.n
+    return GpCovariance(cell=cell, r=r, q=q, n_points=len(g.points))
 
 
 _SIM_CHUNK = 1 << 16
 
 
-def pvalue_bounds(
-    c: GpCovariance, stat: float, n_sims: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo upper bounds for the p-value.
+def pvalue_bounds(c: GpCovariance, stat: float, n_sims: int, seed: int) -> float:
+    """Monte Carlo p-value upper bound p1 for the statistic.
 
-    Draws n_sims zero-mean multivariate normal vectors through the
-    regularized Cholesky factor of c. p1 is the fraction of draws whose
-    maximum exceeds stat; p2 is one minus the fraction of draws with all
-    components at or below stat.
+    Draws n_sims paths of the null process on the grid, c.dim normals
+    each, and returns the fraction whose maximum exceeds stat, counting a
+    maximum equal to stat one half.
 
     Draws are generated in fixed-size blocks to bound memory; the block
     structure does not change the stream, so results depend only on
@@ -201,40 +194,54 @@ def pvalue_bounds(
         raise ParameterError(f"statistic must be finite, got {stat}")
     if n_sims < 100:
         raise ParameterError(f"n_sims must be >= 100, got {n_sims}")
-    factor = regularized_cholesky(c)
+    sqrt_r = np.sqrt(c.r)
+    w = c.q / sqrt_r
+    gamma = 1.0 / (1.0 + math.sqrt(max(0.0, 1.0 - float(w @ w))))
+    # W just below cell i: sum of sqrt(r) Z over cells >= i, minus shift[i] * w.Z
+    shift = gamma * np.cumsum(c.q[::-1])[::-1]
+    # W below the smallest |d| is the sum over all cells, with variance
+    # sum(r) - sum(q)^2. That is 0 when every difference is nonzero and of
+    # one sign, and of order 1/n or more otherwise, as is the variance of
+    # every other path value. A zero-variance value is exactly 0: it is left
+    # out of the loop and 0 joins the maximum, so rounding cannot flip it.
+    first = int(c.dim > 0 and c.r.sum() - c.q.sum() ** 2 < 1e-12)
+    # W = 0 at grid points past every cell, so the maximum is at least 0
+    floor = 0.0 if first or c.dim == 0 or c.cell[-1] < c.n_points else -np.inf
     rng = make_rng(seed)
     exceed = 0
-    inside = 0
+    ties = 0
     remaining = n_sims
     while remaining > 0:
         block = min(remaining, _SIM_CHUNK)
-        draws = rng.standard_normal((block, c.dim)) @ factor.T
-        exceed += int(np.count_nonzero(draws.max(axis=1) > stat))
-        inside += int(np.count_nonzero(np.all(draws <= stat, axis=1)))
+        z = rng.standard_normal((block, c.dim))
+        proj = z @ w
+        z *= sqrt_r
+        path = np.zeros(block)
+        peak = np.full(block, floor)
+        value = np.empty(block)
+        for i in range(c.dim - 1, first - 1, -1):
+            path += z[:, i]
+            np.multiply(proj, shift[i], out=value)
+            np.subtract(path, value, out=value)
+            np.maximum(peak, value, out=peak)
+        exceed += int(np.count_nonzero(peak > stat))
+        ties += int(np.count_nonzero(peak == stat))
         remaining -= block
-    p1 = exceed / n_sims
-    p2 = 1.0 - inside / n_sims
-    return p1, p2
+    return (exceed + 0.5 * ties) / n_sims
 
 
 def _run_test(s: PairedSample, grid: Grid, n_sims: int, seed: int) -> TestResult:
     stat = statistic_stwj(s)
     cov = build_covariance(grid, s)
-    p1, p2 = pvalue_bounds(cov, stat, n_sims, seed)
-    result = TestResult(
+    return TestResult(
         statistic=stat,
-        p1=p1,
-        p2=p2,
+        p1=pvalue_bounds(cov, stat, n_sims, seed),
         n=s.n,
         k=grid.k,
+        cells=cov.dim,
         n_sims=n_sims,
         seed=seed,
-        jitter=cov.jitter_applied,
-        decisions={},
     )
-    for level in DECISION_LEVELS:
-        result.decisions[level] = result.reject_at(level)
-    return result
 
 
 def test_st_wj(
@@ -246,8 +253,8 @@ def test_st_wj(
 ) -> TestResult:
     """Full test of the null 'X is dominated by Y' on a paired sample.
 
-    Composes the statistic, grid, covariance, factorization and p-value
-    bounds; fully deterministic for a fixed seed.
+    Composes the statistic, grid, cell covariance and simulated p-value;
+    fully deterministic for a fixed seed.
     """
     if s.n < 2:
         raise ParameterError("the test needs at least two pairs")

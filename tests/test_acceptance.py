@@ -21,7 +21,8 @@ from pairdom.finance import (
     weekly_returns,
     write_analysis_json,
 )
-from pairdom.gptest import GpCovariance, pvalue_bounds
+from pairdom.empirical import PairedSample
+from pairdom.gptest import Grid, build_covariance, pvalue_bounds
 from pairdom.montecarlo import (
     ExperimentConfig,
     generate_scenario,
@@ -223,8 +224,10 @@ def test_criterion_12_covariance_formula():
 
 
 def test_criterion_13_gaussian_bound_calibration():
-    cov = GpCovariance(np.array([[1.0]]))
-    p1, _ = pvalue_bounds(cov, 1.645, 1_000_000, seed=MASTER_SEED)
+    # half d=+1, half d=-1 on the grid {0, 1}: a unit-variance point at t=0
+    d = np.tile([1.0, -1.0], 50)
+    cov = build_covariance(Grid(np.array([0.0, 1.0])), PairedSample(d, np.zeros_like(d)))
+    p1 = pvalue_bounds(cov, 1.645, 1_000_000, seed=MASTER_SEED)
     expected = float(1.0 - ndtr(1.645))
     ok = abs(p1 - 0.05) <= 0.002
     report_line(13, "unit-variance bound at 1.645 gives p1 within 0.002 of 0.05", ok,

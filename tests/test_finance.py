@@ -244,7 +244,7 @@ class TestFixturePipeline:
             "possibly_equal_differences",
             "strict_dominance_consistent",
         )
-        for key in ("statistic", "p1", "p2", "n", "k", "n_sims", "seed", "jitter"):
+        for key in ("statistic", "p1", "p_se", "n", "k", "cells", "n_sims", "seed"):
             assert key in payload["stwj_forward"]
         json.dumps(payload)
 

@@ -5,21 +5,51 @@ import pytest
 from scipy.special import ndtr
 
 from pairdom import gptest
-from pairdom.empirical import PairedSample
-from pairdom.errors import DegenerateSampleError, NumericalError, ParameterError
-from pairdom.gptest import (
-    GpCovariance,
-    Grid,
-    build_covariance,
-    build_grid,
-    pvalue_bounds,
-    regularized_cholesky,
-)
+from pairdom.empirical import EmpiricalSurvival, PairedSample, statistic_stwj, survival_at
+from pairdom.errors import DegenerateSampleError, ParameterError
+from pairdom.gptest import Grid, build_covariance, build_grid, pvalue_bounds
 from pairdom.montecarlo import generate_scenario, scenario
+from pairdom.seeding import make_rng
 
 
 def case_sample(case_id: str, n: int, seed: int) -> PairedSample:
     return generate_scenario(scenario(case_id), n, seed)
+
+
+def differences_sample(d) -> PairedSample:
+    d = np.asarray(d, dtype=float)
+    return PairedSample(d, np.zeros_like(d))
+
+
+def unit_variance_cov():
+    # half d=+1, half d=-1: W(0) ~ N(0, 1) and W(1) = 0 exactly
+    return build_covariance(Grid(np.array([0.0, 1.0])), differences_sample(np.tile([1.0, -1.0], 50)))
+
+
+def ordinal_sample() -> PairedSample:
+    rng = np.random.default_rng(17)
+    x = rng.integers(1, 8, 200)
+    y = np.clip(x + rng.integers(-2, 3, 200), 1, 7)
+    return PairedSample(x.astype(float), y.astype(float))
+
+
+def with_linear_grid(s: PairedSample):
+    return s, build_grid(s, 100)
+
+
+def with_support_grid(s: PairedSample):
+    z = np.concatenate([s.x - s.y, s.y - s.x])
+    return s, Grid(np.union1d([0.0], z[z >= 0]))
+
+
+def closed_form_covariance(g: Grid, s: PairedSample) -> np.ndarray:
+    """(Fbar + Gbar)(t_i v t_j) - gap_i * gap_j from the empirical survivals."""
+    d = s.x - s.y
+    f = survival_at(EmpiricalSurvival.from_values(d), g.points)
+    gbar = survival_at(EmpiricalSurvival.from_values(-d), g.points)
+    gap = f - gbar
+    idx = np.arange(len(g.points))
+    return (f + gbar)[np.maximum.outer(idx, idx)] - np.outer(gap, gap)
 
 
 class TestGrid:
@@ -94,75 +124,84 @@ class TestCovariance:
             assert m[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-class TestRegularizedCholesky:
-    def test_identity(self):
-        cov = GpCovariance(np.eye(3))
-        factor = regularized_cholesky(cov)
-        assert cov.jitter_applied == 1e-10
-        assert np.allclose(factor, np.eye(3), atol=1e-5)
-
-    def test_zero_matrix(self):
-        cov = GpCovariance(np.zeros((4, 4)))
-        factor = regularized_cholesky(cov, eps=1e-10)
-        assert np.allclose(factor, np.sqrt(1e-10) * np.eye(4), atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((6, 6))
-        m = a @ a.T
-        cov = GpCovariance(m)
-        factor = regularized_cholesky(cov)
-        assert np.abs(factor @ factor.T - (m + cov.jitter_applied * np.eye(6))).max() <= 1e-8
-
-    def test_escalation_on_indefinite(self):
-        m = np.eye(3)
-        m[2, 2] = -5e-9  # small negative pivot, cured by the jitter ladder
-        cov = GpCovariance(m)
-        factor = regularized_cholesky(cov)
-        assert cov.jitter_applied > 1e-10
-        assert np.isfinite(factor).all()
-
-    def test_hard_failure(self):
-        m = np.eye(2)
-        m[1, 1] = -1.0
-        with pytest.raises(NumericalError):
-            regularized_cholesky(GpCovariance(m))
+    @pytest.mark.parametrize("make", [
+        lambda: with_linear_grid(case_sample("C1", 200, seed=3)),
+        lambda: with_linear_grid(case_sample("C8", 100, seed=3)),
+        lambda: with_support_grid(ordinal_sample()),
+        lambda: (differences_sample([1.0, -1.0]), Grid(np.array([0.0, 1.0, 5.0]))),
+    ], ids=["C1_n200", "C8_n100", "ordinal_support_grid", "grid_past_support"])
+    def test_matrix_matches_closed_form(self, make):
+        s, g = make()
+        m = build_covariance(g, s).matrix
+        assert m.shape == (g.k + 1, g.k + 1)
+        assert np.abs(m - closed_form_covariance(g, s)).max() <= 1e-12
 
 
 class TestPvalueBounds:
     def test_extreme_statistics(self):
-        cov = GpCovariance(np.eye(3))
-        assert pvalue_bounds(cov, 1e9, 500, seed=1) == (0.0, 0.0)
-        cov2 = GpCovariance(np.eye(3))
-        assert pvalue_bounds(cov2, -1e9, 500, seed=1) == (1.0, 1.0)
+        s = case_sample("C3", 60, seed=4)
+        cov = build_covariance(build_grid(s, 20), s)
+        assert pvalue_bounds(cov, 1e9, 500, seed=1) == 0.0
+        assert pvalue_bounds(cov, -1e9, 500, seed=1) == 1.0
 
     def test_univariate_calibration(self):
         # P(Z > 1.645) for a unit-variance point, against the normal CDF
-        cov = GpCovariance(np.array([[1.0]]))
-        p1, p2 = pvalue_bounds(cov, 1.645, 200_000, seed=42)
+        p1 = pvalue_bounds(unit_variance_cov(), 1.645, 200_000, seed=42)
         expected = 1.0 - ndtr(1.645)
         assert p1 == pytest.approx(expected, abs=0.005)
 
-    def test_shared_draw_estimators_coincide(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 4))
-        cov = GpCovariance(a @ a.T)
-        p1, p2 = pvalue_bounds(cov, 0.7, 2000, seed=9)
-        assert p1 == p2
+    @pytest.mark.parametrize("d, points", [
+        (np.tile([1.0, -1.0], 50), [0.0, 1.0]),
+        # every difference negative: W(0) is the sum over all cells and is
+        # exactly 0, W(1.5) ~ N(0, 1/4), W(2) = 0
+        ([-1.0, -2.0], [0.0, 1.5, 2.0]),
+    ], ids=["plus_minus_one", "one_sign"])
+    def test_ties_at_zero_count_one_half(self, d, points):
+        # the maximum is 0 exactly when the one live point is <= 0 (prob 1/2),
+        # so the mid-p rule gives 1/2 + 1/2 * 1/2
+        n_sims = 20_000
+        cov = build_covariance(Grid(np.array(points)), differences_sample(d))
+        p1 = pvalue_bounds(cov, 0.0, n_sims, seed=5)
+        assert abs(p1 - 0.75) <= 4 * np.sqrt(0.75 * 0.25 / n_sims)
+
+    def test_agrees_with_a_dense_cholesky_draw(self):
+        s = case_sample("C3", 200, seed=7)
+        stat = statistic_stwj(s)
+        assert stat > 0.0
+        g = build_grid(s, 100)
+        factor = np.linalg.cholesky(closed_form_covariance(g, s) + 1e-10 * np.eye(g.k + 1))
+        rng = np.random.default_rng(8)
+        n_sims, block = 200_000, 20_000
+        exceed = sum(
+            np.count_nonzero((rng.standard_normal((block, g.k + 1)) @ factor.T).max(axis=1) > stat)
+            for _ in range(n_sims // block)
+        )
+        dense = exceed / n_sims
+        p1 = pvalue_bounds(build_covariance(g, s), stat, n_sims, seed=9)
+        assert abs(p1 - dense) <= 5 * np.sqrt(dense * (1 - dense) * 2 / n_sims)
+
+    def test_each_draw_takes_dim_normals(self):
+        # the documented construction, drawn from the same stream
+        s = case_sample("C8", 100, seed=6)
+        cov = build_covariance(build_grid(s, 100), s)
+        z = make_rng(3).standard_normal((5000, cov.dim))
+        w = cov.q / np.sqrt(cov.r)
+        gamma = (1 - np.sqrt(1 - w @ w)) / (w @ w)
+        v = np.sqrt(cov.r) * (z - gamma * np.outer(z @ w, w))
+        paths = np.cumsum(v[:, ::-1], axis=1)
+        peak = np.maximum(paths.max(axis=1), 0.0)
+        for stat in (0.5, 1.0, 1.5):
+            assert pvalue_bounds(cov, stat, 5000, seed=3) == np.mean(peak > stat)
 
     def test_monotone_in_statistic(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((5, 5))
-        m = a @ a.T
-        ps = []
-        for stat in (0.0, 0.5, 1.0, 2.0, 4.0):
-            p1, _ = pvalue_bounds(GpCovariance(m.copy()), stat, 4000, seed=11)
-            ps.append(p1)
+        s = case_sample("C8", 80, seed=8)
+        cov = build_covariance(build_grid(s, 30), s)
+        ps = [pvalue_bounds(cov, stat, 4000, seed=11) for stat in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(x >= y for x, y in zip(ps, ps[1:]))
 
     def test_n_sims_floor(self):
         with pytest.raises(ParameterError):
-            pvalue_bounds(GpCovariance(np.eye(2)), 0.0, 99, seed=0)
+            pvalue_bounds(unit_variance_cov(), 0.0, 99, seed=0)
 
 
 class TestFullTest:
@@ -170,7 +209,6 @@ class TestFullTest:
         s = case_sample("C2", 500, seed=21)
         res = gptest.test_st_wj(s, 100, 2000, seed=22)
         assert res.reject_at(0.05)
-        assert res.decisions[0.05] is True
 
     def test_case1_retains(self):
         s = case_sample("C1", 500, seed=23)
@@ -196,10 +234,17 @@ class TestFullTest:
         res = gptest.test_st_wj(s, 10, 500, seed=2)
         payload = res.to_json_dict()
         assert list(payload) == [
-            "statistic", "p1", "p2", "n", "k", "n_sims", "seed", "jitter",
+            "statistic", "p1", "p_se", "n", "k", "cells", "n_sims", "seed",
             "reject_at_0_05", "reject_at_0_01",
         ]
         json.dumps(payload)  # serializable
+
+    def test_diagnostics(self):
+        s = case_sample("C8", 100, seed=5)
+        res = gptest.test_st_wj(s, 100, 2000, seed=6)
+        assert res.cells == build_covariance(build_grid(s, 100), s).dim
+        assert 0 < res.cells <= 101
+        assert res.p_se == pytest.approx(np.sqrt(res.p1 * (1 - res.p1) / 2000), rel=1e-12)
 
     def test_degenerate_sample_raises(self):
         x = np.array([2.0, 2.0, 2.0])

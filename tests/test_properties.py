@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stwj_holds_dense_scan
+from pairdom import gptest
 from pairdom.distributions import Normal, Pareto, Weibull, quantile
 from pairdom.empirical import PairedSample, statistic_stwj
-from pairdom.gptest import GpCovariance, pvalue_bounds
+from pairdom.gptest import build_covariance, build_grid, pvalue_bounds
+from pairdom.montecarlo import generate_scenario, scenario
 from pairdom.oracle import DiscreteBivariate, check_precedence, check_st_wj_discrete
 
 small_coord = st.integers(-3, 3).map(float)
@@ -89,13 +91,14 @@ def test_quantile_monotone(p):
         assert quantile(dist, p) <= quantile(dist, p + 0.01) + 1e-12
 
 
-def test_pvalue_chunking_is_stream_invariant():
+def test_pvalue_chunking_is_stream_invariant(monkeypatch):
     # exercises the block boundary: 70000 draws > one 65536-draw block
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((7, 7))
-    m = a @ a.T
-    small = pvalue_bounds(GpCovariance(m.copy()), 1.2, 65_536, seed=12345)
-    crossing = pvalue_bounds(GpCovariance(m.copy()), 1.2, 70_000, seed=12345)
-    again = pvalue_bounds(GpCovariance(m.copy()), 1.2, 70_000, seed=12345)
+    s = generate_scenario(scenario("C3"), 50, 1)
+    cov = build_covariance(build_grid(s, 6), s)
+    small = pvalue_bounds(cov, 1.2, 65_536, seed=12345)
+    crossing = pvalue_bounds(cov, 1.2, 70_000, seed=12345)
+    again = pvalue_bounds(cov, 1.2, 70_000, seed=12345)
     assert crossing == again
-    assert small[0] == pytest.approx(crossing[0], abs=0.01)
+    assert small == pytest.approx(crossing, abs=0.01)
+    monkeypatch.setattr(gptest, "_SIM_CHUNK", 4_096)
+    assert pvalue_bounds(cov, 1.2, 70_000, seed=12345) == crossing
