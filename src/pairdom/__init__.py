@@ -77,7 +77,6 @@ from .oracle import (
     MarginalOrder,
     OrderVerdict,
     analytic_st_wj_bivariate_normal,
-    check_copula_condition,
     check_precedence,
     check_st_marginals_discrete,
     check_st_wj_discrete,

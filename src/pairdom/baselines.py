@@ -6,9 +6,10 @@ p-values are evidence that Y - X is centered below zero.
 The Wilcoxon test is the one-sample signed-rank test on the differences
 Y - X (the standard paired form): zero differences are dropped, ties in
 the absolute differences get midranks, and the one-sided p-value for the
-"less" alternative is P(W+ <= observed). It is computed by exact
-enumeration of all sign patterns when at most ``exact_threshold``
-differences remain, and otherwise by the normal approximation with a
+"less" alternative is P(W+ <= observed). When at most ``exact_threshold``
+differences remain it is exact: the null law of W+ over all 2^m sign
+patterns is counted by dynamic programming over the doubled midranks,
+which are integers. Otherwise it is the normal approximation with a
 tie-corrected variance and a continuity correction of 0.5.
 """
 
@@ -22,11 +23,13 @@ from scipy.special import ndtr, stdtr
 from scipy.stats import rankdata
 
 from .empirical import PairedSample
-from .errors import DegenerateSampleError, ParameterError
+from .errors import CapacityError, DegenerateSampleError, ParameterError
 
 __all__ = ["BaselineResult", "paired_t_test", "wilcoxon_signed_rank"]
 
 EXACT_ENUMERATION_THRESHOLD = 12
+# The 2^m sign patterns are counted in int64, so m may be at most 62.
+EXACT_MAX_DIFFERENCES = 62
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,22 @@ def paired_t_test(s: PairedSample) -> BaselineResult:
 
 
 def _exact_wplus_cdf(ranks: np.ndarray, w_obs: float) -> float:
-    # distribution of W+ over all 2^m sign patterns, by subset-sum expansion
-    sums = np.zeros(1)
-    for r in ranks:
-        sums = np.concatenate([sums, sums + r])
-    return float(np.mean(sums <= w_obs + 1e-9))
+    """P(W+ <= w_obs) over all 2^m equally likely sign patterns.
+
+    counts[s] is the number of patterns whose doubled W+ equals s; adding
+    one rank r (doubled) shifts a copy of the counts by r.
+    """
+    m = len(ranks)
+    if m > EXACT_MAX_DIFFERENCES:
+        raise CapacityError(
+            f"exact Wilcoxon counts overflow past {EXACT_MAX_DIFFERENCES} differences, got {m}"
+        )
+    # midranks are multiples of 1/2, so doubling them is exact
+    counts = np.zeros(m * (m + 1) + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in (2.0 * ranks).astype(np.int64).tolist():
+        counts[r:] += counts[:-r]
+    return int(counts[: int(2.0 * w_obs) + 1].sum()) / (1 << m)
 
 
 def wilcoxon_signed_rank(

@@ -103,12 +103,7 @@ def _cmd_qq(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sample = montecarlo.generate_scenario(montecarlo.scenario(args.case), args.n, args.seed)
-    if args.output:
-        write_paired_csv(sample, args.output)
-    else:
-        sys.stdout.write("x,y\n")
-        for xi, yi in zip(sample.x, sample.y):
-            sys.stdout.write(f"{float(xi)!r},{float(yi)!r}\n")
+    write_paired_csv(sample, args.output or sys.stdout)
     return 0
 
 

@@ -15,8 +15,10 @@ step functions, so the supremum is attained on the finite candidate set
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -124,12 +126,18 @@ def statistic_stwj(s: PairedSample) -> float:
     return float(np.sqrt(n) * gap.max())
 
 
-def write_paired_csv(s: PairedSample, path: str | Path) -> None:
-    """Write a paired sample as CSV with header ``x,y`` and LF newlines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y\n")
-        for xi, yi in zip(s.x, s.y):
-            fh.write(f"{float(xi)!r},{float(yi)!r}\n")
+def write_paired_csv(s: PairedSample, dest: str | Path | TextIO) -> None:
+    """Write a paired sample as CSV with header ``x,y`` and LF newlines.
+
+    dest is a file path or an open text stream, which is left open.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            write_paired_csv(s, fh)
+        return
+    dest.write("x,y\n")
+    for xi, yi in zip(s.x, s.y):
+        dest.write(f"{float(xi)!r},{float(yi)!r}\n")
 
 
 def read_paired_csv(path: str | Path) -> PairedSample:

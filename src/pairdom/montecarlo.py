@@ -14,11 +14,19 @@ Clayton copula with theta = 0.5:
 Each replication r of an experiment derives its own seeds from
 (master_seed, r), so results are independent of execution order and of
 any parallelism in the caller.
+
+A replication asks the dominance test only whether p1 < level for each
+configured level, so the harness passes stop_at = max(levels) to
+gptest.pvalue_bounds. Once the running mid-p count reaches that level,
+the full p1 can only be larger and no level rejects, so the remaining
+draws are skipped; a run that does not stop returns exactly p1. The
+decisions, and hence every rate, are the same as from gptest.test_st_wj.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +60,8 @@ __all__ = [
 ]
 
 ALL_TESTS = ("stwj", "t", "wilcoxon")
+# Two-sided 95% standard normal quantile, for the Wilson intervals.
+_Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -127,9 +137,11 @@ class RejectionReport:
 
     A replication whose test raises a degenerate-sample error counts as a
     failure for that test and as a non-rejection in the rate; failures are
-    reported separately, never silently dropped. wall_time is informative
-    only and is excluded from the serialized forms so that identical
-    configurations produce byte-identical artifacts.
+    reported separately, never silently dropped. interval() gives the 95%
+    Wilson interval of a rate, which the JSON form carries as wilson95.
+    wall_time is informative only and is excluded from the serialized
+    forms so that identical configurations produce byte-identical
+    artifacts.
     """
 
     case_id: str
@@ -146,6 +158,15 @@ class RejectionReport:
 
     def rate(self, test: str, level: float) -> float:
         return self.rates[(test, level)]
+
+    def interval(self, test: str, level: float) -> tuple[float, float]:
+        """95% Wilson score interval for a rate over the replications."""
+        p = self.rates[(test, level)]
+        n = self.replications
+        z2 = _Z95 * _Z95
+        centre = (p + z2 / (2 * n)) / (1 + z2 / n)
+        half = _Z95 / (1 + z2 / n) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
+        return max(0.0, centre - half), min(1.0, centre + half)
 
     def to_csv_text(self) -> str:
         lines = ["case,n,test,level,rate,failures"]
@@ -172,6 +193,7 @@ class RejectionReport:
                     "test": test,
                     "level": level,
                     "rate": self.rates[(test, level)],
+                    "wilson95": list(self.interval(test, level)),
                     "failures": self.failures[test],
                 }
                 for test in self.tests
@@ -200,9 +222,11 @@ def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
 
 def _rejections(sample: PairedSample, test: str, cfg: ExperimentConfig, seed: int) -> list[bool]:
     if test == "stwj":
-        result = gptest.test_st_wj(sample, cfg.k, cfg.n_sims, seed=seed)
-        return [result.reject_at(level) for level in cfg.levels]
-    if test == "t":
+        grid = gptest.build_grid(sample, cfg.k)
+        stat = gptest.statistic_stwj(sample)
+        cov = gptest.build_covariance(grid, sample)
+        p = gptest.pvalue_bounds(cov, stat, cfg.n_sims, seed, stop_at=max(cfg.levels))
+    elif test == "t":
         p = paired_t_test(sample).p_value
     else:
         p = wilcoxon_signed_rank(sample).p_value

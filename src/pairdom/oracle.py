@@ -19,7 +19,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .distributions import BivariateNormalParams, clayton_partial_u
+from .distributions import BivariateNormalParams
 from .errors import CapacityError, CsvFormatError, ParameterError
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "check_precedence",
     "check_st_marginals_discrete",
     "convolve_independent",
-    "check_copula_condition",
     "analytic_st_wj_bivariate_normal",
     "discretize_bivariate_normal",
     "read_atoms_csv",
@@ -228,32 +227,6 @@ def convolve_independent(
         p = np.outer(acc.p, other.p).ravel()
         acc = _merge_atoms(x, y, p)
     return acc
-
-
-def check_copula_condition(theta: float, grid_size: int, tol: float = 1e-12) -> OrderVerdict:
-    """Grid check of dC/dp(u, v1) <= dC/dq(v2, u) for all v1 <= v2.
-
-    Evaluated for the Clayton copula on a uniform interior grid
-    u_i = i / (grid_size + 1); endpoints are excluded because the partial
-    derivatives diverge at the boundary. A failing verdict encodes the
-    first violating triple (u_i, v1_j, v2_l), scanned in lexicographic
-    order, as the flattened index (i * grid_size + j) * grid_size + l.
-    """
-    if grid_size < 2:
-        raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
-    g = grid_size
-    pts = np.arange(1, g + 1) / (g + 1)
-    # partial in the first argument at (u_i, v_j)
-    p_mat = clayton_partial_u(theta, pts[:, None], pts[None, :])
-    # partial in the second argument at (v_l, u_i); the copula is
-    # exchangeable so this is the first-argument partial at (u_i, v_l)
-    q_mat = clayton_partial_u(theta, pts[:, None], pts[None, :])
-    viol = p_mat[:, :, None] > q_mat[:, None, :] + tol  # [i, j, l]
-    viol &= np.tril(np.ones((g, g), dtype=bool)).T[None, :, :]  # j <= l
-    if viol.any():
-        flat = int(np.argmax(viol.reshape(-1)))
-        return OrderVerdict(holds=False, witness_t=float(flat))
-    return OrderVerdict(holds=True)
 
 
 def analytic_st_wj_bivariate_normal(params: BivariateNormalParams) -> bool:

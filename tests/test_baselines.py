@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pairdom.baselines import paired_t_test, wilcoxon_signed_rank
+from pairdom.baselines import _exact_wplus_cdf, paired_t_test, wilcoxon_signed_rank
 from pairdom.empirical import PairedSample
-from pairdom.errors import DegenerateSampleError, ParameterError
+from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
 
 
 def sample_from_differences(d) -> PairedSample:
@@ -130,3 +130,25 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank(sample_from_differences([1.0, -2.0, 3.0]))
         payload = res.to_json_dict()
         assert list(payload) == ["method", "statistic", "p_value", "n_effective"]
+
+    def test_exact_counts_equal_enumeration(self):
+        # all 2^m sign patterns enumerated, against the counting recursion
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            m = int(rng.integers(1, 13))
+            if trial % 2:
+                d = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], m)  # tied |d|
+            else:
+                d = rng.normal(0.0, 1.0, m)
+            ranks = stats.rankdata(np.abs(d))
+            sums = np.zeros(1)
+            for r in ranks:
+                sums = np.concatenate([sums, sums + r])
+            for w in (float(ranks[d > 0].sum()), 0.0, float(ranks.sum())):
+                assert _exact_wplus_cdf(ranks, w) == float(np.mean(sums <= w + 1e-9))
+
+    def test_exact_capacity(self):
+        d = np.arange(1.0, 64.0)  # 63 nonzero differences
+        assert wilcoxon_signed_rank(sample_from_differences(d[:62]), exact_threshold=62).p_value == 1.0
+        with pytest.raises(CapacityError):
+            wilcoxon_signed_rank(sample_from_differences(d), exact_threshold=63)

@@ -29,6 +29,13 @@ class TestSimulate:
         assert out.startswith("x,y\n")
         assert len(out.strip().split("\n")) == 6
 
+    def test_stdout_bytes_equal_output_file(self, tmp_path, capsys):
+        out = tmp_path / "pairs.csv"
+        args = ["simulate", "--case", "C7", "--n", "50", "--seed", "4"]
+        assert run(args + ["--output", str(out)]) == 0
+        assert run(args) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--case", "C1", "--n", "10"])

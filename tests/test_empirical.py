@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,14 @@ class TestCsv:
         assert np.array_equal(back.x, s.x) and np.array_equal(back.y, s.y)
         assert path.read_text().startswith("x,y\n")
         assert "\r" not in path.read_bytes().decode()
+
+    def test_stream_matches_file(self, tmp_path):
+        s = PairedSample(np.array([1.25, -3.5, 0.1]), np.array([2.0, 0.0, -1.75]))
+        path = tmp_path / "pairs.csv"
+        write_paired_csv(s, path)
+        stream = io.StringIO()
+        write_paired_csv(s, stream)
+        assert stream.getvalue().encode("utf-8") == path.read_bytes()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

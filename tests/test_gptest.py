@@ -204,6 +204,65 @@ class TestPvalueBounds:
             pvalue_bounds(unit_variance_cov(), 0.0, 99, seed=0)
 
 
+class TestEarlyStop:
+    @pytest.mark.parametrize("case, n, seed, n_sims, count", [
+        ("C3", 50, 1, 2000, 782),
+        ("C3", 50, 1, 70_000, 28473),
+        ("C8", 100, 6, 2000, 14),
+        ("C8", 100, 6, 70_000, 438),
+        ("C1", 100, 2, 2000, 1984),
+        ("C1", 100, 2, 70_000, 69396),
+    ])
+    def test_without_stop_at_p1_is_pinned(self, case, n, seed, n_sims, count):
+        # mid-p counts of the 65 536-draw-block sampler at draw seed 99
+        s = case_sample(case, n, seed)
+        cov = build_covariance(build_grid(s, 100), s)
+        assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
+
+    @pytest.mark.parametrize("n_sims", [2000, 70_000])
+    def test_a_run_that_never_stops_returns_p1(self, n_sims):
+        # growing blocks (256, 1024, ..., 65 536) draw the same stream
+        s = case_sample("C3", 50, seed=1)
+        cov = build_covariance(build_grid(s, 100), s)
+        stat = statistic_stwj(s)
+        full = pvalue_bounds(cov, stat, n_sims, seed=99)
+        assert pvalue_bounds(cov, stat, n_sims, seed=99, stop_at=1.5) == full
+
+    def test_stops_after_the_first_block_that_settles_it(self):
+        s = case_sample("C1", 100, seed=2)
+        cov = build_covariance(build_grid(s, 100), s)
+        stat = statistic_stwj(s)
+        full = pvalue_bounds(cov, stat, 2000, seed=99)
+        stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=0.05)
+        first_block = pvalue_bounds(cov, stat, 256, seed=99)
+        assert stopped == first_block * 256 / 2000
+        assert 0.05 <= stopped < full
+
+    def test_count_equal_to_the_level_does_not_reject(self):
+        # find a statistic whose full mid-p count is exactly 100 of 2000
+        s = case_sample("C8", 100, seed=6)
+        cov = build_covariance(build_grid(s, 100), s)
+        lo, hi = 0.0, 10.0
+        for _ in range(100):
+            stat = 0.5 * (lo + hi)
+            full = pvalue_bounds(cov, stat, 2000, seed=99)
+            if full == 0.05:
+                break
+            lo, hi = (stat, hi) if full > 0.05 else (lo, stat)
+        stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=0.05)
+        assert stopped == full == 100 / 2000
+        assert not stopped < 0.05
+
+    def test_ties_at_zero_count_one_half_before_the_stop(self):
+        # the one live point is N(0, 1) and the maximum is max(Z, 0), so at
+        # statistic 0 every Z <= 0 is a tie; the first block of 256 settles it
+        cov = unit_variance_cov()
+        z = make_rng(5).standard_normal(256)
+        count = np.count_nonzero(z > 0) + 0.5 * np.count_nonzero(z <= 0)
+        assert count / 2000 >= 0.05
+        assert pvalue_bounds(cov, 0.0, 2000, seed=5, stop_at=0.05) == count / 2000
+
+
 class TestFullTest:
     def test_case2_rejects(self):
         s = case_sample("C2", 500, seed=21)

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams, Pareto, Weibull
 from pairdom.errors import ParameterError
 from pairdom.montecarlo import (
     SCENARIOS,
     ExperimentConfig,
+    RejectionReport,
     ScenarioSpec,
     generate_scenario,
     run_rejection_experiment,
     scenario,
 )
+from pairdom.seeding import derive_seed
 
 
 class TestScenarioRegistry:
@@ -155,6 +158,7 @@ class TestRejectionExperiment:
         payload = json.loads(json_path.read_text())
         assert payload["case"] == "C1"
         assert payload["rates"][0]["test"] == "stwj"
+        assert list(payload["rates"][0]) == ["test", "level", "rate", "wilson95", "failures"]
         assert "wall_time" not in payload
 
     def test_config_validation(self):
@@ -170,3 +174,64 @@ class TestRejectionExperiment:
             ExperimentConfig(
                 scenario=scenario("C1"), n=10, replications=1, master_seed=1, levels=(1.5,)
             )
+
+
+# The stwj cells of the acceptance table (tests/test_acceptance.py).
+ACCEPTANCE_CELLS = [("C1", 100), ("C2", 50), ("C3", 50), ("C3", 500), ("C4", 200),
+                    ("C5", 50), ("C6", 50), ("C7", 100), ("C8", 100)]
+
+
+@pytest.mark.parametrize("levels", [(0.05, 0.01), (0.5, 0.2, 0.05)])
+@pytest.mark.parametrize("case, n", ACCEPTANCE_CELLS)
+def test_stwj_decisions_match_the_full_test(case, n, levels):
+    # the harness stops each p-value simulation early; its decisions must
+    # be those of the full test_st_wj run on the same sample and seed
+    cfg = ExperimentConfig(
+        scenario=scenario(case), n=n, replications=12, master_seed=2718,
+        k=100, n_sims=2000, levels=levels,
+    )
+    rejections = {level: 0 for level in levels}
+    for r in range(cfg.replications):
+        sample = generate_scenario(cfg.scenario, n, derive_seed(cfg.master_seed, r, 0))
+        seed = derive_seed(cfg.master_seed, r, 1)
+        full = gptest.test_st_wj(sample, cfg.k, cfg.n_sims, seed=seed)
+        expected = [full.reject_at(level) for level in levels]
+        assert montecarlo._rejections(sample, "stwj", cfg, seed) == expected
+        for level, rejected in zip(levels, expected):
+            rejections[level] += rejected
+    report = run_rejection_experiment(cfg)
+    for level in levels:
+        assert report.rate("stwj", level) == rejections[level] / cfg.replications
+
+
+def report_with_rate(rate: float, replications: int) -> RejectionReport:
+    return RejectionReport(
+        case_id="C8", n=100, replications=replications, master_seed=0, k=100,
+        n_sims=2000, levels=(0.05,), tests=("stwj",),
+        rates={("stwj", 0.05): rate}, failures={"stwj": 0},
+    )
+
+
+class TestWilsonInterval:
+    def test_hand_computed(self):
+        # 124 of 200: the roots in p of (0.62 - p)^2 = z^2 p (1 - p) / 200
+        lo, hi = report_with_rate(0.62, 200).interval("stwj", 0.05)
+        assert lo == pytest.approx(0.551067, abs=1e-6)
+        assert hi == pytest.approx(0.684410, abs=1e-6)
+        z2 = 1.959963984540054**2
+        roots = np.roots([1 + z2 / 200, -(2 * 0.62 + z2 / 200), 0.62**2])
+        assert sorted(roots) == pytest.approx([lo, hi], abs=1e-12)
+
+    def test_rates_zero_and_one(self):
+        z2 = 1.959963984540054**2
+        edge = z2 / (200 + z2)
+        lo, hi = report_with_rate(0.0, 200).interval("stwj", 0.05)
+        assert lo == 0.0 and hi == pytest.approx(edge, abs=1e-12)
+        lo, hi = report_with_rate(1.0, 200).interval("stwj", 0.05)
+        assert hi == 1.0 and lo == pytest.approx(1.0 - edge, abs=1e-12)
+
+    def test_in_json_not_csv(self):
+        report = report_with_rate(0.62, 200)
+        entry = report.to_json_dict()["rates"][0]
+        assert entry["wilson95"] == list(report.interval("stwj", 0.05))
+        assert report.to_csv_text() == "case,n,test,level,rate,failures\nC8,100,stwj,0.05,0.62,0\n"

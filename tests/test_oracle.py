@@ -7,14 +7,13 @@ from conftest import (
     random_ordered_discrete_bivariate,
     stwj_holds_dense_scan,
 )
-from pairdom.distributions import BivariateNormalParams, clayton_partial_u
+from pairdom.distributions import BivariateNormalParams
 from pairdom.errors import CapacityError, CsvFormatError, ParameterError
 from pairdom.oracle import (
     DiscreteBivariate,
     MarginalOrder,
     OrderVerdict,
     analytic_st_wj_bivariate_normal,
-    check_copula_condition,
     check_precedence,
     check_st_marginals_discrete,
     check_st_wj_discrete,
@@ -163,23 +162,6 @@ class TestConvolution:
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
             convolve_independent([])
-
-
-class TestCopulaCondition:
-    @pytest.mark.parametrize("theta", [0.5, 2.0])
-    def test_holds_on_grid(self, theta):
-        assert check_copula_condition(theta, 25).holds
-
-    def test_exchangeable_equality_on_diagonal(self):
-        # v1 = v2 reduces the condition to an identity for the symmetric copula
-        pts = np.arange(1, 26) / 26.0
-        lhs = clayton_partial_u(0.5, pts[:, None], pts[None, :])
-        rhs = clayton_partial_u(0.5, pts[:, None], pts[None, :])
-        assert np.array_equal(lhs, rhs)
-
-    def test_grid_size_validation(self):
-        with pytest.raises(ParameterError):
-            check_copula_condition(0.5, 1)
 
 
 class TestAnalyticNormal:

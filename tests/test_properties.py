@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import stwj_holds_dense_scan
@@ -102,3 +102,24 @@ def test_pvalue_chunking_is_stream_invariant(monkeypatch):
     assert small == pytest.approx(crossing, abs=0.01)
     monkeypatch.setattr(gptest, "_SIM_CHUNK", 4_096)
     assert pvalue_bounds(cov, 1.2, 70_000, seed=12345) == crossing
+
+
+@given(
+    st.lists(st.integers(-50, 50).map(lambda v: v / 10), min_size=2, max_size=40),
+    st.integers(1, 30),
+    st.floats(0, 3),
+    st.integers(100, 3000),
+    st.floats(0.001, 0.999),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=100, deadline=None)
+def test_early_stop_is_a_lower_bound_that_keeps_the_decision(d, k, stat, n_sims, level, seed):
+    d = np.asarray(d)
+    assume(np.abs(d).max() > 0.0)
+    s = PairedSample(d, np.zeros_like(d))
+    cov = build_covariance(build_grid(s, k), s)
+    full = pvalue_bounds(cov, stat, n_sims, seed)
+    stopped = pvalue_bounds(cov, stat, n_sims, seed, stop_at=level)
+    assert stopped <= full
+    assert stopped == full or stopped >= level
+    assert (stopped < level) == (full < level)
