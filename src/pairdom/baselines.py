@@ -11,6 +11,9 @@ differences remain it is exact: the null law of W+ over all 2^m sign
 patterns is counted by dynamic programming over the doubled midranks,
 which are integers. Otherwise it is the normal approximation with a
 tie-corrected variance and a continuity correction of 0.5.
+
+scipy.special is imported inside the two functions that call it, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import ndtr, stdtr
-from scipy.stats import rankdata
 
 from .empirical import PairedSample
 from .errors import CapacityError, DegenerateSampleError, ParameterError
@@ -62,8 +63,23 @@ def paired_t_test(s: PairedSample) -> BaselineResult:
     if sd == 0.0:
         raise DegenerateSampleError("differences have zero variance")
     t_obs = float(np.mean(d) / (sd / np.sqrt(s.n)))
+    from scipy.special import stdtr
+
     p = float(stdtr(s.n - 1, t_obs))
     return BaselineResult(statistic=t_obs, p_value=p, method="students_t", n_effective=s.n)
+
+
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a, each run of equal values given the mean of its ranks."""
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    new_run = np.concatenate(([True], sorted_a[1:] != sorted_a[:-1]))
+    bounds = np.append(np.flatnonzero(new_run), len(a))
+    run = np.cumsum(new_run) - 1
+    ranks = np.empty(len(a))
+    # a run covers sorted positions bounds[run] .. bounds[run + 1] - 1
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    return ranks
 
 
 def _exact_wplus_cdf(ranks: np.ndarray, w_obs: float) -> float:
@@ -94,7 +110,7 @@ def wilcoxon_signed_rank(
     m = len(nz)
     if m == 0:
         raise DegenerateSampleError("all differences are zero")
-    ranks = rankdata(np.abs(nz))
+    ranks = _midranks(np.abs(nz))
     w_plus = float(ranks[nz > 0].sum())
     if m <= exact_threshold:
         p = _exact_wplus_cdf(ranks, w_plus)
@@ -105,5 +121,7 @@ def wilcoxon_signed_rank(
         var_w -= float(((counts**3 - counts).sum())) / 48.0
         if var_w <= 0:
             raise DegenerateSampleError("tie correction removed all variance")
+        from scipy.special import ndtr
+
         p = float(ndtr((w_plus - mean_w + 0.5) / np.sqrt(var_w)))
     return BaselineResult(statistic=w_plus, p_value=p, method="wilcoxon", n_effective=m)

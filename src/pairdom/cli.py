@@ -95,9 +95,7 @@ def _cmd_portfolio(args) -> int:
 
 def _cmd_qq(args) -> int:
     sample = read_paired_csv(args.input)
-    q = finance.qq_export(sample, args.mode)
-    lines = ["qa,qb"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(q.qa, q.qb)]
-    _write_or_print("\n".join(lines) + "\n", args.output)
+    finance.write_qq_csv(finance.qq_export(sample, args.mode), args.output or sys.stdout)
     return 0
 
 

@@ -16,6 +16,9 @@ Sampling is by conditional inversion: with U, W independent uniforms,
     V = ((W^(-theta/(1+theta)) - 1) * U^-theta + 1)^(-1/theta)
 
 inverts the conditional distribution of V given U.
+
+scipy.special is imported only in the Normal branches of cdf and
+quantile, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .empirical import PairedSample
 from .errors import DomainError, FactorizationError, ParameterError
@@ -94,6 +96,8 @@ def cdf(dist: MarginalDist, x):
     """Distribution function of a marginal, vectorized over x."""
     xa = np.asarray(x, dtype=float)
     if isinstance(dist, Normal):
+        from scipy.special import ndtr
+
         out = ndtr((xa - dist.mu) / dist.sigma)
     elif isinstance(dist, Pareto):
         out = np.where(xa > dist.k, -np.expm1(dist.a * np.log(dist.k / np.maximum(xa, dist.k))), 0.0)
@@ -110,6 +114,8 @@ def quantile(dist: MarginalDist, p):
     if np.any(pa <= 0.0) or np.any(pa >= 1.0):
         raise DomainError("quantile requires 0 < p < 1")
     if isinstance(dist, Normal):
+        from scipy.special import ndtri
+
         out = dist.mu + dist.sigma * ndtri(pa)
     elif isinstance(dist, Pareto):
         out = dist.k * np.exp(-np.log1p(-pa) / dist.a)

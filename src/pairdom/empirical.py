@@ -126,18 +126,23 @@ def statistic_stwj(s: PairedSample) -> float:
     return float(np.sqrt(n) * gap.max())
 
 
-def write_paired_csv(s: PairedSample, dest: str | Path | TextIO) -> None:
-    """Write a paired sample as CSV with header ``x,y`` and LF newlines.
+def write_columns_csv(header: str, a, b, dest: str | Path | TextIO) -> None:
+    """Write two float columns as CSV with LF newlines and exact reprs.
 
     dest is a file path or an open text stream, which is left open.
     """
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_paired_csv(s, fh)
+            write_columns_csv(header, a, b, fh)
         return
-    dest.write("x,y\n")
-    for xi, yi in zip(s.x, s.y):
-        dest.write(f"{float(xi)!r},{float(yi)!r}\n")
+    dest.write(header + "\n")
+    for ai, bi in zip(a, b):
+        dest.write(f"{float(ai)!r},{float(bi)!r}\n")
+
+
+def write_paired_csv(s: PairedSample, dest: str | Path | TextIO) -> None:
+    """Write a paired sample as CSV with header ``x,y`` to a path or stream."""
+    write_columns_csv("x,y", s.x, s.y, dest)
 
 
 def read_paired_csv(path: str | Path) -> PairedSample:

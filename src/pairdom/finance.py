@@ -15,13 +15,13 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Literal
+from typing import Literal, TextIO
 
 import numpy as np
 
 from . import gptest
 from .baselines import BaselineResult, paired_t_test
-from .empirical import PairedSample
+from .empirical import PairedSample, write_columns_csv
 from .errors import (
     AlignmentError,
     CsvFormatError,
@@ -240,12 +240,9 @@ def read_price_csv(path: str | Path) -> PriceSeries:
         raise CsvFormatError(2, str(exc)) from exc
 
 
-def write_qq_csv(q: QQData, path: str | Path) -> None:
-    """Write Q-Q data as CSV with header ``qa,qb``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("qa,qb\n")
-        for a, b in zip(q.qa, q.qb):
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
+def write_qq_csv(q: QQData, dest: str | Path | TextIO) -> None:
+    """Write Q-Q data as CSV with header ``qa,qb`` to a path or stream."""
+    write_columns_csv("qa,qb", q.qa, q.qb, dest)
 
 
 def write_analysis_json(report: AnalysisReport, path: str | Path) -> None:

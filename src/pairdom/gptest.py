@@ -162,7 +162,14 @@ def build_grid(s: PairedSample, k: int = DEFAULT_GRID_POINTS) -> Grid:
     max_z = float(_combined_differences(s).max())
     if max_z <= 0.0:
         raise DegenerateSampleError("all paired differences are zero")
-    return Grid(np.linspace(0.0, max_z, k + 1))
+    points = np.linspace(0.0, max_z, k + 1)
+    # a subnormal largest difference has too few representable values
+    # below it for k steps, and linspace collapses some of them
+    if np.any(np.diff(points) <= 0.0):
+        raise DegenerateSampleError(
+            f"largest difference {max_z!r} is too small for {k} grid steps"
+        )
+    return Grid(points)
 
 
 def build_covariance(g: Grid, s: PairedSample) -> GpCovariance:
@@ -177,6 +184,8 @@ def build_covariance(g: Grid, s: PairedSample) -> GpCovariance:
 
 
 _SIM_CHUNK = 1 << 16
+# bytes of normals in one block: 65 536 draws up to dim 128, fewer beyond
+_BLOCK_BYTES = 64 << 20
 _FIRST_STOP_BLOCK = 256
 _STOP_BLOCK_GROWTH = 4
 
@@ -195,19 +204,20 @@ def pvalue_bounds(
     each, and returns the fraction whose maximum exceeds stat, counting a
     maximum equal to stat one half.
 
-    Draws are generated in blocks to bound memory; the block structure
-    does not change the stream, so results depend only on
+    Draws are generated in blocks of at most 65 536 draws and at most
+    64 MiB of normals, so memory stays bounded whatever c.dim is; the
+    block structure does not change the stream, so results depend only on
     (c, stat, n_sims, seed) and stop_at.
 
     Early stop. A caller that only compares p1 with levels <= stop_at may
     pass stop_at. The blocks then grow from 256 draws by a factor of 4 up
-    to 65 536, and after each block the run returns the running mid-p
+    to that cap, and after each block the run returns the running mid-p
     count over n_sims as soon as that reaches stop_at. The count only
     grows, so the value is a lower bound on p1, and both are >= every such
     level: neither rejects. A run that does not stop returns p1 itself,
     bit for bit. This is the exact form of the sequential Monte Carlo
     p-value of Besag & Clifford (1991). Without stop_at every block is
-    65 536 draws, the fastest schedule when every draw is needed.
+    at the cap, the fastest schedule when every draw is needed.
     """
     if not np.isfinite(stat):
         raise ParameterError(f"statistic must be finite, got {stat}")
@@ -230,7 +240,8 @@ def pvalue_bounds(
     exceed = 0
     ties = 0
     drawn = 0
-    block = _SIM_CHUNK if stop_at is None else _FIRST_STOP_BLOCK
+    max_block = min(_SIM_CHUNK, max(1, _BLOCK_BYTES // (8 * max(1, c.dim))))
+    block = max_block if stop_at is None else min(_FIRST_STOP_BLOCK, max_block)
     while drawn < n_sims:
         size = min(block, n_sims - drawn)
         z = rng.standard_normal((size, c.dim))
@@ -249,7 +260,7 @@ def pvalue_bounds(
         drawn += size
         if stop_at is not None and (exceed + 0.5 * ties) / n_sims >= stop_at:
             break
-        block = min(block * _STOP_BLOCK_GROWTH, _SIM_CHUNK)
+        block = min(block * _STOP_BLOCK_GROWTH, max_block)
     return (exceed + 0.5 * ties) / n_sims
 
 

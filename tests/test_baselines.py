@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from pairdom.baselines import _exact_wplus_cdf, paired_t_test, wilcoxon_signed_rank
+from pairdom.baselines import _exact_wplus_cdf, _midranks, paired_t_test, wilcoxon_signed_rank
 from pairdom.empirical import PairedSample
 from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
 
@@ -152,3 +154,26 @@ class TestWilcoxon:
         assert wilcoxon_signed_rank(sample_from_differences(d[:62]), exact_threshold=62).p_value == 1.0
         with pytest.raises(CapacityError):
             wilcoxon_signed_rank(sample_from_differences(d), exact_threshold=63)
+
+
+class TestMidranks:
+    @given(st.lists(st.integers(-4, 4).map(lambda v: v / 4), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_tied_values_match_scipy(self, values):
+        a = np.asarray(values)
+        ranks = _midranks(a)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, stats.rankdata(a))
+
+    def test_seeded_arrays_match_scipy(self):
+        rng = np.random.default_rng(8)
+        for trial in range(2000):
+            m = int(rng.integers(1, 80))
+            if trial % 2:
+                a = rng.integers(0, int(rng.integers(1, 20)), m) * 0.37
+            else:
+                a = rng.normal(0.0, 1.0, m)
+            assert np.array_equal(_midranks(a), stats.rankdata(a))
+
+    def test_hand_example(self):
+        assert np.array_equal(_midranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])), [4.0, 1.0, 4.0, 2.0, 4.0])

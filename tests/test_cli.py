@@ -95,6 +95,18 @@ class TestQqCommand:
         assert run(["qq", "--input", str(pairs), "--mode", "differences"]) == 0
         assert capsys.readouterr().out == "qa,qb\n-1.0,-1.0\n1.0,1.0\n"
 
+    @pytest.mark.parametrize("mode", ["marginals", "differences"])
+    def test_stdout_bytes_equal_output_file(self, tmp_path, capsys, mode):
+        pairs = tmp_path / "pairs.csv"
+        assert run(["simulate", "--case", "C3", "--n", "40", "--seed", "2",
+                    "--output", str(pairs)]) == 0
+        out = tmp_path / "qq.csv"
+        args = ["qq", "--input", str(pairs), "--mode", mode]
+        assert run(args + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
 
 class TestMcCommand:
     def test_writes_reproducible_reports(self, tmp_path):

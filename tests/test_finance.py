@@ -1,4 +1,5 @@
 import datetime as dt
+import io
 import json
 
 import numpy as np
@@ -133,6 +134,14 @@ class TestQqExport:
         path = tmp_path / "qq.csv"
         write_qq_csv(qq_export(s, "differences"), path)
         assert path.read_text() == "qa,qb\n-1.0,-1.0\n1.0,1.0\n"
+
+    def test_csv_export_to_stream(self, tmp_path):
+        q = qq_export(generate_scenario(scenario("C5"), 30, seed=4), "marginals")
+        path = tmp_path / "qq.csv"
+        write_qq_csv(q, path)
+        stream = io.StringIO()
+        write_qq_csv(q, stream)
+        assert stream.getvalue().encode("utf-8") == path.read_bytes()
 
 
 class TestAnalyzePair:

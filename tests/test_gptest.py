@@ -7,7 +7,7 @@ from scipy.special import ndtr
 from pairdom import gptest
 from pairdom.empirical import EmpiricalSurvival, PairedSample, statistic_stwj, survival_at
 from pairdom.errors import DegenerateSampleError, ParameterError
-from pairdom.gptest import Grid, build_covariance, build_grid, pvalue_bounds
+from pairdom.gptest import GpCovariance, Grid, build_covariance, build_grid, pvalue_bounds
 from pairdom.montecarlo import generate_scenario, scenario
 from pairdom.seeding import make_rng
 
@@ -68,6 +68,15 @@ class TestGrid:
         x = np.array([1.0, 2.0, 3.0])
         with pytest.raises(DegenerateSampleError):
             build_grid(PairedSample(x, x.copy()), 10)
+
+    def test_subnormal_largest_difference_is_degenerate(self):
+        # linspace cannot fit two steps below 5e-324, the smallest subnormal
+        s = differences_sample([0.0, 5e-324])
+        with pytest.raises(DegenerateSampleError):
+            build_grid(s, 2)
+        with pytest.raises(DegenerateSampleError):
+            gptest.test_st_wj(s, 2, 500, seed=1)
+        assert np.array_equal(build_grid(s, 1).points, [0.0, 5e-324])
 
     def test_grid_invariants(self):
         with pytest.raises(ParameterError):
@@ -261,6 +270,71 @@ class TestEarlyStop:
         count = np.count_nonzero(z > 0) + 0.5 * np.count_nonzero(z <= 0)
         assert count / 2000 >= 0.05
         assert pvalue_bounds(cov, 0.0, 2000, seed=5, stop_at=0.05) == count / 2000
+
+
+class _RecordingRng:
+    """A generator proxy that records the shape of every normal block."""
+
+    def __init__(self, rng, shapes):
+        self._rng = rng
+        self._shapes = shapes
+
+    def standard_normal(self, shape):
+        self._shapes.append(shape)
+        return self._rng.standard_normal(shape)
+
+
+class TestBlockMemoryBound:
+    def record_blocks(self, monkeypatch):
+        shapes = []
+        monkeypatch.setattr(gptest, "make_rng", lambda seed: _RecordingRng(make_rng(seed), shapes))
+        return shapes
+
+    def test_blocks_are_unchanged_up_to_dim_128(self, monkeypatch):
+        cov = GpCovariance(cell=np.arange(1, 129), r=np.full(128, 1 / 128), q=np.zeros(128),
+                           n_points=129)
+        shapes = self.record_blocks(monkeypatch)
+        pvalue_bounds(cov, 1.0, 70_000, seed=3)
+        assert shapes == [(65_536, 128), (4_464, 128)]
+
+    @pytest.mark.parametrize("case, n, seed, n_sims, count", [
+        ("C3", 50, 1, 2000, 782),
+        ("C8", 100, 6, 70_000, 438),
+        ("C1", 100, 2, 70_000, 69396),
+    ])
+    def test_capped_blocks_keep_p1(self, monkeypatch, case, n, seed, n_sims, count):
+        # the pinned counts of TestEarlyStop, drawn in blocks of 100 draws
+        s = case_sample(case, n, seed)
+        cov = build_covariance(build_grid(s, 100), s)
+        monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 100)
+        shapes = self.record_blocks(monkeypatch)
+        assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
+        assert max(rows for rows, _ in shapes) == 100
+        assert sum(rows for rows, _ in shapes) == n_sims
+
+    def test_a_budget_below_one_draw_still_draws_one(self, monkeypatch):
+        s = case_sample("C3", 50, seed=1)
+        cov = build_covariance(build_grid(s, 100), s)
+        stat = statistic_stwj(s)
+        full = pvalue_bounds(cov, stat, 300, seed=99)
+        monkeypatch.setattr(gptest, "_BLOCK_BYTES", 1)
+        shapes = self.record_blocks(monkeypatch)
+        assert pvalue_bounds(cov, stat, 300, seed=99) == full
+        assert set(shapes) == {(1, cov.dim)}
+
+    @pytest.mark.parametrize("case, n, seed", [("C1", 100, 2), ("C3", 50, 1), ("C8", 100, 6)])
+    def test_capped_blocks_keep_early_stop_decisions(self, monkeypatch, case, n, seed):
+        s = case_sample(case, n, seed)
+        cov = build_covariance(build_grid(s, 100), s)
+        stat = statistic_stwj(s)
+        full = pvalue_bounds(cov, stat, 2000, seed=99)
+        monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 64)
+        shapes = self.record_blocks(monkeypatch)
+        for level in (0.01, 0.05, 0.5):
+            stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=level)
+            assert stopped <= full
+            assert (stopped < level) == (full < level)
+        assert max(rows for rows, _ in shapes) == 64
 
 
 class TestFullTest:

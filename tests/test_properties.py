@@ -62,7 +62,9 @@ def test_at_most_one_strict_direction(atoms):
 
 
 @given(
-    st.lists(st.floats(-50, 50), min_size=2, max_size=20),
+    # scaling can underflow a subnormal difference to 0, where the
+    # property does not hold
+    st.lists(st.floats(-50, 50, allow_subnormal=False), min_size=2, max_size=20),
     st.floats(0.1, 3.0),
 )
 @settings(max_examples=100, deadline=None)

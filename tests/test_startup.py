@@ -1,0 +1,69 @@
+"""Importing pairdom loads no part of scipy; the functions that need
+scipy.special load it on their first call."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pairdom
+
+SRC = str(Path(pairdom.__file__).resolve().parent.parent)
+SCIPY_PARTS = ("scipy.stats", "scipy.special")
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter with pairdom importable; return stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_after(code: str) -> set[str]:
+    out = run_fresh(code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))")
+    return set(out.split()) & set(SCIPY_PARTS)
+
+
+def test_import_loads_no_scipy():
+    assert loaded_after("import pairdom") == set()
+
+
+def test_cli_test_command_loads_no_scipy(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("x,y\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(60)) + "\n")
+    code = (
+        "from pairdom.cli import main\n"
+        f"assert main(['test', '--input', {str(pairs)!r}, '--seed', '1',"
+        f" '--n-sims', '500', '--output', {str(tmp_path / 'res.json')!r}]) == 0"
+    )
+    assert loaded_after(code) == set()
+    assert (tmp_path / "res.json").exists()
+
+
+CALLS = [
+    "paired_t_test(PairedSample(np.zeros(3), np.array([1.0, 2.0, 4.0]))).p_value",
+    "wilcoxon_signed_rank(PairedSample(np.zeros(13), np.arange(1.0, 14.0))).p_value",
+    "quantile(Normal(1.0, 2.0), 0.975)",
+    "cdf(Normal(0.0, 1.0), 1.0)",
+]
+IMPORTS = (
+    "import numpy as np\n"
+    "from pairdom import PairedSample, Normal, cdf, quantile, paired_t_test,"
+    " wilcoxon_signed_rank\n"
+)
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_first_call_loads_scipy_special(call):
+    # each call is the first in its process and gives the value it gives here
+    namespace = {}
+    exec(IMPORTS, namespace)
+    expected = repr(float(eval(call, namespace)))
+    out = run_fresh(IMPORTS + f"print(repr(float({call})))\n"
+                    "import sys\nprint('scipy.special' in sys.modules)")
+    assert out.split() == [expected, "True"]
