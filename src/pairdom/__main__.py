@@ -1,0 +1,6 @@
+"""``python -m pairdom``: the command line of pairdom.cli."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,6 +30,7 @@ __all__ = [
     "differences",
     "survival_at",
     "statistic_stwj",
+    "statistic_and_t_star",
     "read_paired_csv",
     "write_paired_csv",
 ]
@@ -110,6 +111,29 @@ def survival_at(e: EmpiricalSurvival, t):
     return out
 
 
+def statistic_and_t_star(s: PairedSample) -> tuple[float, float]:
+    """The statistic sqrt(n) * sup_{t>=0}(Fbar_n - Gbar_n) and t_star.
+
+    t_star is the smallest t >= 0 at which the gap reaches its supremum.
+    Both are taken on the candidate set {0} union nonnegative realized
+    differences: the gap is a right-continuous step function that changes
+    only at those points, so t_star is one of them. t_star is located on
+    the exact integer gap counts, so candidates whose float gaps differ
+    only by rounding are not told apart.
+    """
+    d = s.x - s.y
+    n = len(d)
+    f = EmpiricalSurvival.from_values(d)
+    g = EmpiricalSurvival.from_values(-d)
+    candidates = np.concatenate(([0.0], d[d >= 0], -d[d <= 0]))
+    above_f = n - np.searchsorted(f.sorted_values, candidates, side="right")
+    above_g = n - np.searchsorted(g.sorted_values, candidates, side="right")
+    gap = above_f / n - above_g / n
+    count_gap = above_f - above_g
+    t_star = float(candidates[count_gap == count_gap.max()].min())
+    return float(np.sqrt(n) * gap.max()), t_star
+
+
 def statistic_stwj(s: PairedSample) -> float:
     """One-sided KS-type statistic sqrt(n) * sup_{t>=0}(Fbar_n - Gbar_n).
 
@@ -117,13 +141,7 @@ def statistic_stwj(s: PairedSample) -> float:
     differences. Negative realized differences correspond to t < 0 and lie
     outside the supremum's domain. The maximum is returned unclamped.
     """
-    d = s.x - s.y
-    n = len(d)
-    f = EmpiricalSurvival.from_values(d)
-    g = EmpiricalSurvival.from_values(-d)
-    candidates = np.concatenate(([0.0], d[d >= 0], -d[d <= 0]))
-    gap = survival_at(f, candidates) - survival_at(g, candidates)
-    return float(np.sqrt(n) * gap.max())
+    return statistic_and_t_star(s)[0]
 
 
 def write_columns_csv(header: str, a, b, dest: str | Path | TextIO) -> None:

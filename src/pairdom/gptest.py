@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import PairedSample, statistic_stwj
+# the harness calls statistic_stwj through this module
+from .empirical import PairedSample, statistic_and_t_star, statistic_stwj
 from .errors import DegenerateSampleError, ParameterError
 from .seeding import make_rng
 
@@ -116,11 +117,13 @@ class GpCovariance:
 class TestResult:
     """Outcome of the dominance test.
 
-    cells is the simulation's effective dimension (GpCovariance.dim) and
-    p_se the Monte Carlo standard error of p1.
+    t_star is the smallest t >= 0 where the survival gap reaches its
+    supremum, cells is the simulation's effective dimension
+    (GpCovariance.dim) and p_se the Monte Carlo standard error of p1.
     """
 
     statistic: float
+    t_star: float
     p1: float
     n: int
     k: int
@@ -138,6 +141,7 @@ class TestResult:
     def to_json_dict(self) -> dict:
         return {
             "statistic": self.statistic,
+            "t_star": self.t_star,
             "p1": self.p1,
             "p_se": self.p_se,
             "n": self.n,
@@ -265,10 +269,11 @@ def pvalue_bounds(
 
 
 def _run_test(s: PairedSample, grid: Grid, n_sims: int, seed: int) -> TestResult:
-    stat = statistic_stwj(s)
+    stat, t_star = statistic_and_t_star(s)
     cov = build_covariance(grid, s)
     return TestResult(
         statistic=stat,
+        t_star=t_star,
         p1=pvalue_bounds(cov, stat, n_sims, seed),
         n=s.n,
         k=grid.k,

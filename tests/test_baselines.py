@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pairdom.baselines import _exact_wplus_cdf, _midranks, paired_t_test, wilcoxon_signed_rank
+from pairdom.baselines import (
+    _exact_wplus_cdf,
+    _midranks,
+    paired_t_rows,
+    paired_t_test,
+    wilcoxon_rows,
+    wilcoxon_signed_rank,
+)
 from pairdom.empirical import PairedSample
 from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
 
@@ -177,3 +184,66 @@ class TestMidranks:
 
     def test_hand_example(self):
         assert np.array_equal(_midranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])), [4.0, 1.0, 4.0, 2.0, 4.0])
+
+
+half_integer = st.integers(-6, 6).map(lambda v: v / 2)
+
+
+@st.composite
+def difference_rows(draw):
+    """An (R, n) array of small half-integers: rows with zeros and ties,
+    and rows that are all zero or constant."""
+    n = draw(st.integers(1, 16))
+    rows = draw(st.lists(
+        st.one_of(
+            st.lists(half_integer, min_size=n, max_size=n),
+            half_integer.map(lambda v: [v] * n),
+        ),
+        min_size=1, max_size=6,
+    ))
+    return np.array(rows, dtype=float)
+
+
+def one_row(test, d, **kwargs):
+    """(statistic, p_value, n_effective) of a one-sample call, or None if it fails."""
+    try:
+        res = test(sample_from_differences(d), **kwargs)
+    except DegenerateSampleError:
+        return None
+    return res.statistic, res.p_value, res.n_effective
+
+
+def row_result(rows, i):
+    if rows.failed[i]:
+        assert np.isnan(rows.statistic[i]) and np.isnan(rows.p_value[i])
+        return None
+    return float(rows.statistic[i]), float(rows.p_value[i]), int(rows.n_effective[i])
+
+
+class TestRows:
+    @given(difference_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_equals_the_one_sample_call(self, d):
+        if d.shape[1] >= 2:
+            rows = paired_t_rows(d)
+            for i, row in enumerate(d):
+                assert row_result(rows, i) == one_row(paired_t_test, row)
+        for threshold in (12, 0):  # the exact and the normal path
+            rows = wilcoxon_rows(d, threshold)
+            for i, row in enumerate(d):
+                expected = one_row(wilcoxon_signed_rank, row, exact_threshold=threshold)
+                assert row_result(rows, i) == expected
+                nz = row[row != 0.0]
+                assert rows.n_effective[i] == len(nz)
+                if expected is not None:
+                    assert expected[0] == stats.rankdata(np.abs(nz))[nz > 0].sum()
+
+    def test_failure_messages(self):
+        with pytest.raises(DegenerateSampleError, match="zero variance"):
+            paired_t_test(sample_from_differences([0.5, 0.5]))
+        with pytest.raises(DegenerateSampleError, match="all differences are zero"):
+            wilcoxon_signed_rank(sample_from_differences([0.0, 0.0]), exact_threshold=0)
+
+    def test_rows_need_two_pairs_for_t(self):
+        with pytest.raises(ParameterError):
+            paired_t_rows(np.ones((3, 1)))

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import pairdom
 
 from conftest import SIX_ATOM_POINTS
 from pairdom.cli import main
@@ -73,6 +79,42 @@ class TestTestCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["test", "--input", str(tmp_path / "nope.csv"), "--seed", "1"]) == 2
+
+    def test_reports_t_star(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,y\n1.0,0\n-0.5,0\n2.0,0\n")
+        assert run(["test", "--input", str(pairs), "--seed", "1", "--n-sims", "500"]) == 0
+        assert json.loads(capsys.readouterr().out)["t_star"] == 0.5
+
+    def test_python_m_writes_the_same_bytes(self, tmp_path, capsys):
+        # run from a source checkout, without installing the package
+        pairs = tmp_path / "pairs.csv"
+        assert run(["simulate", "--case", "C8", "--n", "80", "--seed", "3",
+                    "--output", str(pairs)]) == 0
+        args = ["test", "--input", str(pairs), "--seed", "9", "--n-sims", "1000"]
+        capsys.readouterr()
+        assert run(args) == 0
+        in_process = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(pairdom.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "pairdom", *args], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == in_process.encode("utf-8")
+
+
+class TestParserReuse:
+    def test_usage_errors_between_calls_leave_the_parser_intact(self, tmp_path, capsys):
+        args = ["simulate", "--case", "C2", "--n", "5", "--seed", "8"]
+        assert run(args) == 0
+        first = capsys.readouterr().out
+        for bad in (["simulate", "--case", "C2", "--n", "5"], ["nope"], []):
+            with pytest.raises(SystemExit) as exc:
+                run(bad)
+            assert exc.value.code == 1
+        assert run(["simulate", "--case", "C4", "--n", "5", "--seed", "8"]) == 0
+        assert run(args) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(first) and not out.startswith(first)
 
 
 class TestOracleCommand:

@@ -11,6 +11,7 @@ from pairdom.empirical import (
     PairedSample,
     differences,
     read_paired_csv,
+    statistic_and_t_star,
     statistic_stwj,
     survival_at,
     write_paired_csv,
@@ -129,6 +130,34 @@ class TestStatistic:
         base = statistic_stwj(PairedSample(x, y))
         shifted = statistic_stwj(PairedSample(x + c, y + c))
         assert shifted == pytest.approx(base, abs=1e-9)
+
+
+def gap_counts(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """n * (Fbar_n(t) - Gbar_n(t)) by direct counting at each t."""
+    return (d[None, :] > t[:, None]).sum(axis=1) - (-d[None, :] > t[:, None]).sum(axis=1)
+
+
+class TestTStar:
+    def test_hand_examples(self):
+        # d = (2, 3): the gap is 1 at t = 0 and falls after
+        assert statistic_and_t_star(PairedSample(np.array([3.0, 4.0]), np.array([1.0, 1.0])))[1] == 0.0
+        # d = (1, -0.5, 2): n * gap is 1 on [0, 0.5), 2 on [0.5, 1), 1 on [1, 2), 0 after
+        s = PairedSample(np.array([1.0, -0.5, 2.0]), np.zeros(3))
+        assert statistic_and_t_star(s) == (np.sqrt(3.0) * 2.0 / 3.0, 0.5)
+
+    @given(st.lists(st.integers(-8, 8).map(lambda v: v / 2), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_smallest_point_of_the_supremum(self, values):
+        d = np.asarray(values)
+        s = PairedSample(d, np.zeros(len(d)))
+        stat, t_star = statistic_and_t_star(s)
+        assert stat == statistic_stwj(s)
+        # every gap value is taken on a quarter-integer point of [0, 5]
+        grid = np.arange(0, 21) / 4.0
+        counts = gap_counts(d, grid)
+        assert gap_counts(d, np.array([t_star]))[0] == counts.max()
+        assert counts[grid < t_star].max(initial=counts.max() - 1) < counts.max()
+        assert t_star in np.concatenate(([0.0], np.abs(d)))
 
 
 class TestCsv:

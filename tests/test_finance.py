@@ -253,7 +253,7 @@ class TestFixturePipeline:
             "possibly_equal_differences",
             "strict_dominance_consistent",
         )
-        for key in ("statistic", "p1", "p_se", "n", "k", "cells", "n_sims", "seed"):
+        for key in ("statistic", "t_star", "p1", "p_se", "n", "k", "cells", "n_sims", "seed"):
             assert key in payload["stwj_forward"]
         json.dumps(payload)
 

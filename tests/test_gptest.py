@@ -5,7 +5,13 @@ import pytest
 from scipy.special import ndtr
 
 from pairdom import gptest
-from pairdom.empirical import EmpiricalSurvival, PairedSample, statistic_stwj, survival_at
+from pairdom.empirical import (
+    EmpiricalSurvival,
+    PairedSample,
+    statistic_and_t_star,
+    statistic_stwj,
+    survival_at,
+)
 from pairdom.errors import DegenerateSampleError, ParameterError
 from pairdom.gptest import GpCovariance, Grid, build_covariance, build_grid, pvalue_bounds
 from pairdom.montecarlo import generate_scenario, scenario
@@ -367,7 +373,7 @@ class TestFullTest:
         res = gptest.test_st_wj(s, 10, 500, seed=2)
         payload = res.to_json_dict()
         assert list(payload) == [
-            "statistic", "p1", "p_se", "n", "k", "cells", "n_sims", "seed",
+            "statistic", "t_star", "p1", "p_se", "n", "k", "cells", "n_sims", "seed",
             "reject_at_0_05", "reject_at_0_01",
         ]
         json.dumps(payload)  # serializable
@@ -378,6 +384,8 @@ class TestFullTest:
         assert res.cells == build_covariance(build_grid(s, 100), s).dim
         assert 0 < res.cells <= 101
         assert res.p_se == pytest.approx(np.sqrt(res.p1 * (1 - res.p1) / 2000), rel=1e-12)
+        assert (res.statistic, res.t_star) == statistic_and_t_star(s)
+        assert 0.0 <= res.t_star <= np.abs(s.x - s.y).max()
 
     def test_degenerate_sample_raises(self):
         x = np.array([2.0, 2.0, 2.0])

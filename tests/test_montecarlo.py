@@ -196,12 +196,106 @@ def test_stwj_decisions_match_the_full_test(case, n, levels):
         seed = derive_seed(cfg.master_seed, r, 1)
         full = gptest.test_st_wj(sample, cfg.k, cfg.n_sims, seed=seed)
         expected = [full.reject_at(level) for level in levels]
-        assert montecarlo._rejections(sample, "stwj", cfg, seed) == expected
+        assert montecarlo._stwj_rejections(sample, cfg, seed) == expected
         for level, rejected in zip(levels, expected):
             rejections[level] += rejected
     report = run_rejection_experiment(cfg)
     for level in levels:
         assert report.rate("stwj", level) == rejections[level] / cfg.replications
+
+
+# Rejection counts (t@0.05, t@0.01, wilcoxon@0.05, wilcoxon@0.01) of the
+# benchmark's baseline cells, 200 replications at master seed 2718, as
+# computed by the one-sample tests before the harness ran them by chunk.
+BASELINE_COUNTS = [
+    (("C1", 10), (0, 0, 0, 0)),
+    (("C1", 200), (0, 0, 0, 0)),
+    (("C2", 10), (200, 200, 200, 200)),
+    (("C2", 200), (200, 200, 200, 200)),
+    (("C3", 10), (11, 3, 10, 3)),
+    (("C3", 200), (6, 1, 5, 1)),
+    (("C4", 10), (1, 0, 1, 1)),
+    (("C4", 200), (0, 0, 0, 0)),
+    (("C5", 10), (155, 132, 164, 124)),
+    (("C5", 200), (182, 169, 200, 200)),
+    (("C6", 10), (115, 63, 104, 51)),
+    (("C6", 200), (200, 200, 200, 200)),
+    (("C7", 10), (16, 3, 29, 8)),
+    (("C7", 200), (0, 0, 107, 68)),
+    (("C8", 10), (25, 1, 22, 3)),
+    (("C8", 200), (200, 200, 161, 108)),
+]
+
+
+@pytest.mark.parametrize("cell, expected", BASELINE_COUNTS)
+def test_baseline_rejection_counts_are_pinned(cell, expected):
+    case, n = cell
+    cfg = ExperimentConfig(
+        scenario=scenario(case), n=n, replications=200, master_seed=2718,
+        tests=("t", "wilcoxon"),
+    )
+    report = run_rejection_experiment(cfg)
+    counts = tuple(round(report.rate(test, level) * 200) for test in cfg.tests for level in cfg.levels)
+    assert counts == expected
+    assert report.failures == {"t": 0, "wilcoxon": 0}
+
+
+def record_chunks(monkeypatch) -> list:
+    """Record the shape of every chunk the baselines are run on."""
+    shapes = []
+    for name in ("paired_t_rows", "wilcoxon_rows"):
+        def recording(d, rows_fn=getattr(montecarlo, name)):
+            shapes.append(d.shape)
+            return rows_fn(d)
+        monkeypatch.setattr(montecarlo, name, recording)
+    return shapes
+
+
+class TestChunks:
+    CONFIGS = [
+        small_config("C3", 40, 7, tests=("stwj", "t", "wilcoxon")),
+        small_config("C8", 10, 8, tests=("wilcoxon", "t")),
+        ExperimentConfig(
+            scenario=ScenarioSpec(
+                "DEGEN", normal=BivariateNormalParams(np.array([1.0, 1.0]), np.zeros((2, 2)))
+            ),
+            n=6, replications=5, master_seed=3, n_sims=500, tests=("t", "wilcoxon", "stwj"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.scenario.case_id)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, cfg, rows):
+        whole = run_rejection_experiment(cfg)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * cfg.n * rows)
+        shapes = record_chunks(monkeypatch)
+        chunked = run_rejection_experiment(cfg)
+        assert set(shapes) <= {(rows, cfg.n), (cfg.replications % rows, cfg.n)}
+        assert chunked.to_csv_text() == whole.to_csv_text()
+        assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
+
+    def test_chunks_hold_the_value_budget(self, monkeypatch):
+        shapes = record_chunks(monkeypatch)
+        run_rejection_experiment(small_config("C5", 200, 50, tests=("t",)))
+        assert shapes == [(20, 200), (20, 200), (10, 200)]  # 32 KiB of float64
+
+    def test_a_budget_below_one_row_still_takes_one(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1)
+        shapes = record_chunks(monkeypatch)
+        run_rejection_experiment(small_config("C5", 30, 3, tests=("wilcoxon",)))
+        assert shapes == [(1, 30)] * 3
+
+    @pytest.mark.parametrize("tests, calls", [(("t", "wilcoxon"), 4), (("stwj", "t"), 8)])
+    def test_the_test_seed_is_derived_only_for_stwj(self, monkeypatch, tests, calls):
+        derived = []
+
+        def counting(*parts):
+            derived.append(parts)
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(montecarlo, "derive_seed", counting)
+        run_rejection_experiment(small_config("C2", 20, 4, tests=tests))
+        assert len(derived) == calls
 
 
 def report_with_rate(rate: float, replications: int) -> RejectionReport:
