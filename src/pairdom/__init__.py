@@ -62,7 +62,6 @@ from .gptest import (
     build_grid,
     pvalue_bounds,
     test_st_wj,
-    test_st_wj_discrete_support,
 )
 from .montecarlo import (
     ExperimentConfig,

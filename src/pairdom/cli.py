@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from pathlib import Path
 
 from . import finance, gptest, montecarlo, oracle
-from .empirical import read_paired_csv, write_paired_csv
+from .empirical import read_paired_csv, write_json, write_paired_csv
 from .errors import PairdomError
 
 
@@ -28,24 +26,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_or_print(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _cmd_test(args) -> int:
-    sample = read_paired_csv(args.input)
     if args.discrete:
-        result = gptest.test_st_wj_discrete_support(sample, args.n_sims, seed=args.seed)
+        if args.k is not None:
+            args.usage_error("argument --k: not allowed with argument --discrete")
+        k = None
     else:
-        result = gptest.test_st_wj(sample, args.k, args.n_sims, seed=args.seed)
-    _write_or_print(_json_text(result.to_json_dict()), args.output)
+        k = gptest.DEFAULT_GRID_POINTS if args.k is None else args.k
+    sample = read_paired_csv(args.input)
+    result = gptest.test_st_wj(sample, k, args.n_sims, seed=args.seed)
+    write_json(result.to_json_dict(), args.output or sys.stdout)
     print(
         f"n={result.n} statistic={result.statistic:.6g} p1={result.p1:.4g} "
         f"reject@0.05={result.reject_at(0.05)}",
@@ -69,7 +59,7 @@ def _cmd_mc(args) -> int:
     if args.output_csv:
         report.write_csv(args.output_csv)
     if args.output_json:
-        report.write_json(args.output_json)
+        write_json(report.to_json_dict(), args.output_json)
     if not args.output_csv and not args.output_json:
         sys.stdout.write(report.to_csv_text())
     print(
@@ -89,7 +79,7 @@ def _cmd_portfolio(args) -> int:
         ry = finance.portfolio_returns(args.alpha, ry, rz)
     sample = finance.align(rx, ry)
     report = finance.analyze_pair(sample, args.k, args.n_sims, seed=args.seed)
-    _write_or_print(_json_text(report.to_json_dict()), args.output)
+    write_json(report.to_json_dict(), args.output or sys.stdout)
     print(f"n={sample.n} verdict={report.verdict}", file=sys.stderr)
     return 0
 
@@ -119,7 +109,7 @@ def _cmd_oracle(args) -> int:
         "precedence_y_gt_x": p_yx,
         "marginal_order": oracle.check_st_marginals_discrete(law).value,
     }
-    _write_or_print(_json_text(payload), args.output)
+    write_json(payload, args.output or sys.stdout)
     return 0
 
 
@@ -147,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="dominance test on a paired CSV")
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--seed", required=True, type=int)
-    p_test.add_argument("--k", type=int, default=100)
+    p_test.add_argument("--k", type=int,
+                        help=f"grid steps, {gptest.DEFAULT_GRID_POINTS} if not given")
     p_test.add_argument("--n-sims", type=int, default=10_000)
     p_test.add_argument("--discrete", action="store_true",
-                        help="treat the data as integer-valued/ordinal")
+                        help="treat the data as integer-valued/ordinal: "
+                             "the grid is the realized support, so no --k")
     p_test.add_argument("--output")
-    p_test.set_defaults(func=_cmd_test)
+    p_test.set_defaults(func=_cmd_test, usage_error=p_test.error)
 
     p_mc = sub.add_parser("mc", help="rejection-rate experiment")
     p_mc.add_argument("--case", required=True, choices=sorted(montecarlo.SCENARIOS))

@@ -15,10 +15,11 @@ step functions, so the supremum is attained on the finite candidate set
 from __future__ import annotations
 
 import csv
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -144,44 +145,76 @@ def statistic_stwj(s: PairedSample) -> float:
     return statistic_and_t_star(s)[0]
 
 
-def write_columns_csv(header: str, a, b, dest: str | Path | TextIO) -> None:
-    """Write two float columns as CSV with LF newlines and exact reprs.
+def write_columns_csv(header: str, columns: Sequence, dest: str | Path | TextIO) -> None:
+    """Write float columns as CSV with LF newlines and exact reprs.
 
+    header names the columns, comma-separated, one per array in columns.
     dest is a file path or an open text stream, which is left open.
     """
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_columns_csv(header, a, b, fh)
+            write_columns_csv(header, columns, fh)
         return
     dest.write(header + "\n")
-    for ai, bi in zip(a, b):
-        dest.write(f"{float(ai)!r},{float(bi)!r}\n")
+    for row in zip(*columns):
+        dest.write(",".join([repr(float(v)) for v in row]) + "\n")
+
+
+def read_columns_csv(
+    path: str | Path, header: str, parse_row: Callable[[list[str]], tuple]
+) -> list[tuple]:
+    """Parse each data row of a CSV whose header is ``header``.
+
+    Blank rows are skipped. A wrong header is an error on line 1; a row
+    with the wrong number of fields, or one parse_row rejects with a
+    ValueError, is an error on its own line; no data rows is an error on
+    line 2. Every error is a CsvFormatError.
+    """
+    names = header.split(",")
+    rows: list[tuple] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != names:
+            raise CsvFormatError(1, f"expected header '{header}'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise CsvFormatError(lineno, f"expected {len(names)} fields, got {len(row)}")
+            try:
+                rows.append(parse_row(row))
+            except ValueError as exc:
+                raise CsvFormatError(lineno, str(exc)) from exc
+    if not rows:
+        raise CsvFormatError(2, "no data rows")
+    return rows
+
+
+def float_fields(row: list[str]) -> tuple[float, ...]:
+    """A CSV row's fields as floats, for read_columns_csv."""
+    try:
+        return tuple(map(float, row))
+    except ValueError as exc:
+        raise ValueError(f"not a number: {exc}") from exc
+
+
+def write_json(payload: dict, dest: str | Path | TextIO) -> None:
+    """Write payload as JSON, indented by 2, plus a newline, to a path or stream."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            write_json(payload, fh)
+        return
+    json.dump(payload, dest, indent=2)
+    dest.write("\n")
 
 
 def write_paired_csv(s: PairedSample, dest: str | Path | TextIO) -> None:
     """Write a paired sample as CSV with header ``x,y`` to a path or stream."""
-    write_columns_csv("x,y", s.x, s.y, dest)
+    write_columns_csv("x,y", (s.x, s.y), dest)
 
 
 def read_paired_csv(path: str | Path) -> PairedSample:
     """Read a paired sample from CSV with header ``x,y``."""
-    xs: list[float] = []
-    ys: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y"]:
-            raise CsvFormatError(1, "expected header 'x,y'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(lineno, f"expected 2 fields, got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except ValueError as exc:
-                raise CsvFormatError(lineno, f"not a number: {exc}") from exc
-    if not xs:
-        raise CsvFormatError(2, "no data rows")
-    return PairedSample(np.array(xs), np.array(ys))
+    x, y = zip(*read_columns_csv(path, "x,y", float_fields))
+    return PairedSample(np.array(x), np.array(y))

@@ -9,9 +9,7 @@ P2 - P1 = (alpha2 - alpha1) * (Y - X) require exactly.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -21,7 +19,7 @@ import numpy as np
 
 from . import gptest
 from .baselines import BaselineResult, paired_t_test
-from .empirical import PairedSample, write_columns_csv
+from .empirical import PairedSample, read_columns_csv, write_columns_csv
 from .errors import (
     AlignmentError,
     CsvFormatError,
@@ -43,7 +41,6 @@ __all__ = [
     "analyze_pair",
     "read_price_csv",
     "write_qq_csv",
-    "write_analysis_json",
     "fixture_path",
 ]
 
@@ -213,42 +210,22 @@ def analyze_pair(
     return AnalysisReport(stwj_forward=forward, stwj_reverse=reverse, t_test=t_res, verdict=verdict)
 
 
+def _price_row(row: list[str]) -> tuple[dt.date, float]:
+    return dt.date.fromisoformat(row[0].strip()), float(row[1])
+
+
 def read_price_csv(path: str | Path) -> PriceSeries:
     """Read a price series from CSV with header ``date,close``, ISO dates."""
-    dates: list[dt.date] = []
-    closes: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "close"]:
-            raise CsvFormatError(1, "expected header 'date,close'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(lineno, f"expected 2 fields, got {len(row)}")
-            try:
-                dates.append(dt.date.fromisoformat(row[0].strip()))
-                closes.append(float(row[1]))
-            except ValueError as exc:
-                raise CsvFormatError(lineno, str(exc)) from exc
-    if not dates:
-        raise CsvFormatError(2, "no data rows")
+    dates, closes = zip(*read_columns_csv(path, "date,close", _price_row))
     try:
-        return PriceSeries(tuple(dates), np.array(closes))
+        return PriceSeries(dates, np.array(closes))
     except ParameterError as exc:
         raise CsvFormatError(2, str(exc)) from exc
 
 
 def write_qq_csv(q: QQData, dest: str | Path | TextIO) -> None:
     """Write Q-Q data as CSV with header ``qa,qb`` to a path or stream."""
-    write_columns_csv("qa,qb", q.qa, q.qb, dest)
-
-
-def write_analysis_json(report: AnalysisReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_columns_csv("qa,qb", (q.qa, q.qb), dest)
 
 
 def fixture_path(name: str) -> Path:

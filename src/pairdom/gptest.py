@@ -45,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the harness calls statistic_stwj through this module
-from .empirical import PairedSample, statistic_and_t_star, statistic_stwj
-from .errors import DegenerateSampleError, ParameterError
+from .empirical import PairedSample, statistic_and_t_star
+from .errors import CapacityError, DegenerateSampleError, ParameterError
 from .seeding import make_rng
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "build_covariance",
     "pvalue_bounds",
     "test_st_wj",
-    "test_st_wj_discrete_support",
 ]
 
 DEFAULT_GRID_POINTS = 100
@@ -154,18 +152,29 @@ class TestResult:
         }
 
 
-def _combined_differences(s: PairedSample) -> np.ndarray:
-    d = s.x - s.y
-    return np.concatenate([d, -d])
+def build_grid(s: PairedSample, k: int | None = DEFAULT_GRID_POINTS) -> Grid:
+    """Evaluation grid of the test on s.
 
-
-def build_grid(s: PairedSample, k: int = DEFAULT_GRID_POINTS) -> Grid:
-    """k+1 equally spaced points from 0 to the largest realized difference."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    max_z = float(_combined_differences(s).max())
+    An integer k gives k+1 equally spaced points from 0 to the largest
+    realized |x - y|. k=None gives the realized support, for integer-valued
+    or ordinal data: 0 plus the distinct nonnegative values of +-(x - y),
+    with no interpolation points. The k+1 points of an equally spaced grid
+    must fit in the 64 MiB draw-block budget, so k >= 2**23 raises
+    CapacityError before anything is allocated.
+    """
+    if k is not None:
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
+        if k + 1 > _BLOCK_BYTES // 8:
+            raise CapacityError(
+                f"k={k} needs {k + 1} grid points; at most {_BLOCK_BYTES // 8} fit in 64 MiB"
+            )
+    size = np.abs(s.x - s.y)
+    max_z = float(size.max())
     if max_z <= 0.0:
         raise DegenerateSampleError("all paired differences are zero")
+    if k is None:
+        return Grid(np.unique(np.concatenate(([0.0], size))))
     points = np.linspace(0.0, max_z, k + 1)
     # a subnormal largest difference has too few representable values
     # below it for k steps, and linspace collapses some of them
@@ -188,7 +197,8 @@ def build_covariance(g: Grid, s: PairedSample) -> GpCovariance:
 
 
 _SIM_CHUNK = 1 << 16
-# bytes of normals in one block: 65 536 draws up to dim 128, fewer beyond
+# bytes of normals in one block: 65 536 draws up to dim 128, fewer beyond;
+# also the bound on the k+1 points of an equally spaced grid
 _BLOCK_BYTES = 64 << 20
 _FIRST_STOP_BLOCK = 256
 _STOP_BLOCK_GROWTH = 4
@@ -268,13 +278,35 @@ def pvalue_bounds(
     return (exceed + 0.5 * ties) / n_sims
 
 
-def _run_test(s: PairedSample, grid: Grid, n_sims: int, seed: int) -> TestResult:
+def test_st_wj(
+    s: PairedSample,
+    k: int | None = DEFAULT_GRID_POINTS,
+    n_sims: int = DEFAULT_N_SIMS,
+    *,
+    seed: int,
+    stop_at: float | None = None,
+) -> TestResult:
+    """Full test of the null 'X is dominated by Y' on a paired sample.
+
+    Composes the statistic, the grid build_grid(s, k) (k=None for the
+    realized support of integer-valued or ordinal data), the cell
+    covariance and the simulated p-value; fully deterministic for a fixed
+    seed.
+
+    stop_at is passed to pvalue_bounds, for callers that compare p1 only
+    with levels <= stop_at. p1 is then exact when it is below stop_at and
+    otherwise lies in [stop_at, full p1], so reject_at(level) is exact for
+    every level <= stop_at. Without stop_at, p1 is the full simulation's.
+    """
+    if s.n < 2:
+        raise ParameterError("the test needs at least two pairs")
+    grid = build_grid(s, k)
     stat, t_star = statistic_and_t_star(s)
     cov = build_covariance(grid, s)
     return TestResult(
         statistic=stat,
         t_star=t_star,
-        p1=pvalue_bounds(cov, stat, n_sims, seed),
+        p1=pvalue_bounds(cov, stat, n_sims, seed, stop_at=stop_at),
         n=s.n,
         k=grid.k,
         cells=cov.dim,
@@ -283,42 +315,5 @@ def _run_test(s: PairedSample, grid: Grid, n_sims: int, seed: int) -> TestResult
     )
 
 
-def test_st_wj(
-    s: PairedSample,
-    k: int = DEFAULT_GRID_POINTS,
-    n_sims: int = DEFAULT_N_SIMS,
-    *,
-    seed: int,
-) -> TestResult:
-    """Full test of the null 'X is dominated by Y' on a paired sample.
-
-    Composes the statistic, grid, cell covariance and simulated p-value;
-    fully deterministic for a fixed seed.
-    """
-    if s.n < 2:
-        raise ParameterError("the test needs at least two pairs")
-    grid = build_grid(s, k)
-    return _run_test(s, grid, n_sims, seed)
-
-
-def test_st_wj_discrete_support(
-    s: PairedSample, n_sims: int = DEFAULT_N_SIMS, *, seed: int
-) -> TestResult:
-    """Variant for integer-valued or ordinal data.
-
-    The grid is the sorted distinct realized difference values intersected
-    with [0, infinity), plus 0; no interpolation grid is introduced.
-    """
-    if s.n < 2:
-        raise ParameterError("the test needs at least two pairs")
-    z = _combined_differences(s)
-    if z.max() <= 0.0:
-        raise DegenerateSampleError("all paired differences are zero")
-    support = np.unique(z[z >= 0])
-    points = support if support[0] == 0.0 else np.concatenate(([0.0], support))
-    return _run_test(s, Grid(points), n_sims, seed)
-
-
 # functions named test_* are library API, not pytest tests
 test_st_wj.__test__ = False
-test_st_wj_discrete_support.__test__ = False

@@ -27,16 +27,15 @@ least one row, so memory is bounded for any replications x n. Counting is
 commutative, so the report does not depend on the chunk size.
 
 A replication asks the dominance test only whether p1 < level for each
-configured level, so the harness passes stop_at = max(levels) to
-gptest.pvalue_bounds. Once the running mid-p count reaches that level,
+configured level, so the harness calls gptest.test_st_wj with
+stop_at = max(levels). Once the running mid-p count reaches that level,
 the full p1 can only be larger and no level rejects, so the remaining
-draws are skipped; a run that does not stop returns exactly p1. The
-decisions, and hence every rate, are the same as from gptest.test_st_wj.
+draws are skipped. The decisions, and hence every rate, are the same as
+from the full test.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -221,11 +220,6 @@ class RejectionReport:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv_text())
 
-    def write_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
     """Draw a paired sample from a scenario; deterministic per seed."""
@@ -234,14 +228,6 @@ def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
     if spec.normal is not None:
         return sample_bivariate_normal(spec.normal, n, seed)
     return sample_clayton_bivariate(spec.theta, spec.marginal_x, spec.marginal_y, n, seed)
-
-
-def _stwj_rejections(sample: PairedSample, cfg: ExperimentConfig, seed: int) -> list[bool]:
-    grid = gptest.build_grid(sample, cfg.k)
-    stat = gptest.statistic_stwj(sample)
-    cov = gptest.build_covariance(grid, sample)
-    p = gptest.pvalue_bounds(cov, stat, cfg.n_sims, seed, stop_at=max(cfg.levels))
-    return [p < level for level in cfg.levels]
 
 
 def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
@@ -268,12 +254,15 @@ def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
             if not stwj:
                 continue
             try:
-                rejected = _stwj_rejections(sample, cfg, derive_seed(cfg.master_seed, r, 1))
+                result = gptest.test_st_wj(
+                    sample, cfg.k, cfg.n_sims,
+                    seed=derive_seed(cfg.master_seed, r, 1), stop_at=max(cfg.levels),
+                )
             except DegenerateSampleError:
                 failures["stwj"] += 1
                 continue
-            for level, rej in zip(cfg.levels, rejected):
-                counts[("stwj", level)] += rej
+            for level in cfg.levels:
+                counts[("stwj", level)] += result.reject_at(level)
         for test in baselines:
             rows = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
             failures[test] += int(np.count_nonzero(rows.failed))

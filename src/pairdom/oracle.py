@@ -11,7 +11,6 @@ check covers the left limits between support points.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -20,7 +19,8 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .distributions import BivariateNormalParams
-from .errors import CapacityError, CsvFormatError, ParameterError
+from .empirical import float_fields, read_columns_csv, write_columns_csv
+from .errors import CapacityError, ParameterError
 
 __all__ = [
     "DiscreteBivariate",
@@ -272,29 +272,9 @@ def discretize_bivariate_normal(
 
 def write_atoms_csv(d: DiscreteBivariate, path: str | Path) -> None:
     """Write atoms as CSV with header ``x,y,p``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,p\n")
-        for xi, yi, pi in zip(d.x, d.y, d.p):
-            fh.write(f"{float(xi)!r},{float(yi)!r},{float(pi)!r}\n")
+    write_columns_csv("x,y,p", (d.x, d.y, d.p), path)
 
 
 def read_atoms_csv(path: str | Path) -> DiscreteBivariate:
     """Read a discrete bivariate law from CSV with header ``x,y,p``."""
-    rows: list[tuple[float, float, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y", "p"]:
-            raise CsvFormatError(1, "expected header 'x,y,p'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(lineno, f"expected 3 fields, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise CsvFormatError(lineno, f"not a number: {exc}") from exc
-    if not rows:
-        raise CsvFormatError(2, "no data rows")
-    return DiscreteBivariate.from_atoms(rows)
+    return DiscreteBivariate.from_atoms(read_columns_csv(path, "x,y,p", float_fields))

@@ -19,9 +19,8 @@ from pairdom.finance import (
     fixture_path,
     read_price_csv,
     weekly_returns,
-    write_analysis_json,
 )
-from pairdom.empirical import PairedSample
+from pairdom.empirical import PairedSample, write_json
 from pairdom.gptest import Grid, build_covariance, pvalue_bounds
 from pairdom.montecarlo import (
     ExperimentConfig,
@@ -268,8 +267,8 @@ def test_criterion_15_byte_identical_artifacts(table_reports, tmp_path):
         first_csv = table_reports[name].to_csv_text().encode()
         first_json_path = tmp_path / f"{name}_a.json"
         rerun_json_path = tmp_path / f"{name}_b.json"
-        table_reports[name].write_json(first_json_path)
-        rerun.write_json(rerun_json_path)
+        write_json(table_reports[name].to_json_dict(), first_json_path)
+        write_json(rerun.to_json_dict(), rerun_json_path)
         if rerun.to_csv_text().encode() != first_csv:
             mismatches.append(f"{name}:csv")
         if first_json_path.read_bytes() != rerun_json_path.read_bytes():
@@ -293,8 +292,8 @@ def test_criterion_15_byte_identical_artifacts(table_reports, tmp_path):
     pair = align(rx, ry)
     a_path = tmp_path / "analysis_a.json"
     b_path = tmp_path / "analysis_b.json"
-    write_analysis_json(analyze_pair(pair, GRID_POINTS, GP_SIMS, seed=MASTER_SEED), a_path)
-    write_analysis_json(analyze_pair(pair, GRID_POINTS, GP_SIMS, seed=MASTER_SEED), b_path)
+    write_json(analyze_pair(pair, GRID_POINTS, GP_SIMS, seed=MASTER_SEED).to_json_dict(), a_path)
+    write_json(analyze_pair(pair, GRID_POINTS, GP_SIMS, seed=MASTER_SEED).to_json_dict(), b_path)
     if a_path.read_bytes() != b_path.read_bytes():
         mismatches.append("analysis:json")
     ok = not mismatches

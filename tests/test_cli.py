@@ -15,6 +15,29 @@ from pairdom.empirical import read_paired_csv
 from pairdom.oracle import DiscreteBivariate, write_atoms_csv
 
 
+# A dependent pair on the 7-point scale; the JSON below is what
+# `pairdom test --discrete` printed for it when the discrete variant had its
+# own entry point.
+ORDINAL_30 = """
+1,1 4,6 5,5 3,2 2,4 1,2 7,7 7,6 6,4 7,7 1,1 4,2 1,1 7,6 3,2
+7,7 3,1 3,2 3,3 1,2 4,4 5,5 5,3 1,2 2,3 4,6 6,6 4,3 1,2 4,6
+"""
+ORDINAL_30_DISCRETE_JSON = """{
+  "statistic": 0.18257418583505533,
+  "t_star": -0.0,
+  "p1": 0.539,
+  "p_se": 0.01114627740548386,
+  "n": 30,
+  "k": 2,
+  "cells": 2,
+  "n_sims": 2000,
+  "seed": 5,
+  "reject_at_0_05": false,
+  "reject_at_0_01": false
+}
+"""
+
+
 def run(args) -> int:
     return main(args)
 
@@ -70,6 +93,29 @@ class TestTestCommand:
                     "--n-sims", "500", "--output", str(out_json)]) == 0
         payload = json.loads(out_json.read_text())
         assert payload["k"] >= 1
+
+    def test_discrete_output_bytes_are_pinned(self, tmp_path, capsys):
+        pairs = tmp_path / "ordinal.csv"
+        pairs.write_text("x,y\n" + "\n".join(ORDINAL_30.split()) + "\n")
+        assert run(["test", "--input", str(pairs), "--seed", "5", "--n-sims", "2000",
+                    "--discrete"]) == 0
+        assert capsys.readouterr().out == ORDINAL_30_DISCRETE_JSON
+
+    @pytest.mark.parametrize("k", ["50", "100"])
+    def test_discrete_with_k_is_usage_error(self, tmp_path, capsys, k):
+        # 100 is the --k default, so argparse alone cannot tell it was given
+        pairs = tmp_path / "ordinal.csv"
+        pairs.write_text("x,y\n" + "\n".join(ORDINAL_30.split()) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["test", "--input", str(pairs), "--seed", "5", "--discrete", "--k", k])
+        assert exc.value.code == 1
+        assert "not allowed with argument --discrete" in capsys.readouterr().err
+
+    def test_k_beyond_the_block_budget_exits_2(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,y\n1,0\n0,1\n")
+        assert run(["test", "--input", str(pairs), "--seed", "1", "--k", str(2**23)]) == 2
+        assert "64 MiB" in capsys.readouterr().err
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

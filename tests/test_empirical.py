@@ -17,6 +17,8 @@ from pairdom.empirical import (
     write_paired_csv,
 )
 from pairdom.errors import CsvFormatError, ParameterError
+from pairdom.finance import read_price_csv
+from pairdom.oracle import read_atoms_csv
 
 
 class TestPairedSample:
@@ -190,3 +192,26 @@ class TestCsv:
         with pytest.raises(CsvFormatError) as err:
             read_paired_csv(path)
         assert err.value.line == 3
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    ("paired", "x,z\n1,2\n", "line 1: expected header 'x,y'"),
+    ("paired", "x,y\n1,2,3\n", "line 2: expected 2 fields, got 3"),
+    ("paired", "x,y\n1,2\n\n1,a\n", "line 4: not a number: could not convert string to float: 'a'"),
+    ("paired", "x,y\n\n", "line 2: no data rows"),
+    ("price", "day,close\n", "line 1: expected header 'date,close'"),
+    ("price", "date,close\n2020-13-01,1\n", "line 2: month must be in 1..12"),
+    ("price", "date,close\n2020-01-01,x\n", "line 2: could not convert string to float: 'x'"),
+    ("price", "date,close\n2020-01-08,1\n2020-01-01,2\n", "line 2: dates must be strictly increasing"),
+    ("atoms", "x,y,p\n1,2\n", "line 2: expected 3 fields, got 2"),
+    ("atoms", "x,y,p\n1,2,z\n", "line 2: not a number: could not convert string to float: 'z'"),
+    ("atoms", "x,y,p\n", "line 2: no data rows"),
+])
+def test_csv_readers_report_line_and_reason(tmp_path, reader, text, message):
+    # one reader serves the three formats; each keeps its own messages
+    read = {"paired": read_paired_csv, "price": read_price_csv, "atoms": read_atoms_csv}[reader]
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as err:
+        read(path)
+    assert str(err.value) == message

@@ -12,7 +12,7 @@ from pairdom.empirical import (
     statistic_stwj,
     survival_at,
 )
-from pairdom.errors import DegenerateSampleError, ParameterError
+from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
 from pairdom.gptest import GpCovariance, Grid, build_covariance, build_grid, pvalue_bounds
 from pairdom.montecarlo import generate_scenario, scenario
 from pairdom.seeding import make_rng
@@ -83,6 +83,25 @@ class TestGrid:
         with pytest.raises(DegenerateSampleError):
             gptest.test_st_wj(s, 2, 500, seed=1)
         assert np.array_equal(build_grid(s, 1).points, [0.0, 5e-324])
+
+    def test_k_beyond_the_block_budget_raises_before_allocating(self, monkeypatch):
+        s = PairedSample(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        assert gptest._BLOCK_BYTES // 8 == 2**23
+
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(gptest.np, "linspace", no_linspace)
+        with pytest.raises(CapacityError):
+            build_grid(s, 2**23)
+        with pytest.raises(CapacityError):
+            gptest.test_st_wj(s, 10**9, seed=1)
+        monkeypatch.undo()
+        # the largest k whose points fit, under a budget of 11 points
+        monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * 11)
+        assert build_grid(s, 10).k == 10
+        with pytest.raises(CapacityError):
+            build_grid(s, 11)
 
     def test_grid_invariants(self):
         with pytest.raises(ParameterError):
@@ -387,6 +406,16 @@ class TestFullTest:
         assert (res.statistic, res.t_star) == statistic_and_t_star(s)
         assert 0.0 <= res.t_star <= np.abs(s.x - s.y).max()
 
+    def test_stop_at_ends_the_simulation_early(self):
+        # C1 is ordered, so p1 is near 1 and the first block of 256 settles 0.05
+        s = case_sample("C1", 100, seed=2)
+        full = gptest.test_st_wj(s, 100, 2000, seed=99)
+        stopped = gptest.test_st_wj(s, 100, 2000, seed=99, stop_at=0.05)
+        first_block = gptest.test_st_wj(s, 100, 256, seed=99)
+        assert stopped.p1 == first_block.p1 * 256 / 2000
+        assert 0.05 <= stopped.p1 < full.p1
+        assert not stopped.reject_at(0.05) and not full.reject_at(0.05)
+
     def test_degenerate_sample_raises(self):
         x = np.array([2.0, 2.0, 2.0])
         with pytest.raises(DegenerateSampleError):
@@ -419,23 +448,27 @@ class TestFullTest:
 class TestDiscreteSupportVariant:
     def test_grid_from_realized_support(self):
         s = PairedSample(np.array([3.0, 4.0, 2.0]), np.array([1.0, 1.0, 5.0]))
-        res = gptest.test_st_wj_discrete_support(s, 2000, seed=3)
+        res = gptest.test_st_wj(s, None, 2000, seed=3)
         # distinct nonnegative realized differences {2, 3} plus 0
         assert res.k == 2
 
     def test_grid_includes_zero_once(self):
         s = PairedSample(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        res = gptest.test_st_wj_discrete_support(s, 2000, seed=3)
+        res = gptest.test_st_wj(s, None, 2000, seed=3)
         assert res.k == 1  # grid {0, 1}
 
     def test_constant_sample_degenerate(self):
         x = np.array([1.0, 1.0, 1.0])
         with pytest.raises(DegenerateSampleError):
-            gptest.test_st_wj_discrete_support(PairedSample(x, x.copy()), seed=1)
+            gptest.test_st_wj(PairedSample(x, x.copy()), None, seed=1)
 
     def test_ordinal_data_end_to_end(self):
         rng = np.random.default_rng(61)
         x = rng.integers(0, 6, 80).astype(float)
         y = x + rng.integers(0, 3, 80)
-        res = gptest.test_st_wj_discrete_support(PairedSample(x, y.astype(float)), 2000, seed=62)
+        res = gptest.test_st_wj(PairedSample(x, y.astype(float)), None, 2000, seed=62)
         assert not res.reject_at(0.05)
+
+    @pytest.mark.parametrize("s", [ordinal_sample(), case_sample("C8", 60, seed=4)])
+    def test_grid_is_the_support_grid(self, s):
+        assert np.array_equal(build_grid(s, None).points, with_support_grid(s)[1].points)

@@ -7,6 +7,7 @@ from scipy.special import gamma as gamma_fn
 
 from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams, Pareto, Weibull
+from pairdom.empirical import write_json
 from pairdom.errors import ParameterError
 from pairdom.montecarlo import (
     SCENARIOS,
@@ -153,7 +154,7 @@ class TestRejectionExperiment:
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"
         report.write_csv(csv_path)
-        report.write_json(json_path)
+        write_json(report.to_json_dict(), json_path)
         assert csv_path.read_text().startswith("case,n,test,level,rate,failures")
         payload = json.loads(json_path.read_text())
         assert payload["case"] == "C1"
@@ -184,8 +185,8 @@ ACCEPTANCE_CELLS = [("C1", 100), ("C2", 50), ("C3", 50), ("C3", 500), ("C4", 200
 @pytest.mark.parametrize("levels", [(0.05, 0.01), (0.5, 0.2, 0.05)])
 @pytest.mark.parametrize("case, n", ACCEPTANCE_CELLS)
 def test_stwj_decisions_match_the_full_test(case, n, levels):
-    # the harness stops each p-value simulation early; its decisions must
-    # be those of the full test_st_wj run on the same sample and seed
+    # the harness stops each p-value simulation at max(levels); its
+    # decisions must be those of the full run on the same sample and seed
     cfg = ExperimentConfig(
         scenario=scenario(case), n=n, replications=12, master_seed=2718,
         k=100, n_sims=2000, levels=levels,
@@ -195,8 +196,14 @@ def test_stwj_decisions_match_the_full_test(case, n, levels):
         sample = generate_scenario(cfg.scenario, n, derive_seed(cfg.master_seed, r, 0))
         seed = derive_seed(cfg.master_seed, r, 1)
         full = gptest.test_st_wj(sample, cfg.k, cfg.n_sims, seed=seed)
+        stopped = gptest.test_st_wj(sample, cfg.k, cfg.n_sims, seed=seed, stop_at=max(levels))
         expected = [full.reject_at(level) for level in levels]
-        assert montecarlo._stwj_rejections(sample, cfg, seed) == expected
+        assert [stopped.reject_at(level) for level in levels] == expected
+        # p1 is exact below stop_at and otherwise lies in [stop_at, full p1]
+        if full.p1 < max(levels):
+            assert stopped == full
+        else:
+            assert max(levels) <= stopped.p1 <= full.p1
         for level, rejected in zip(levels, expected):
             rejections[level] += rejected
     report = run_rejection_experiment(cfg)
