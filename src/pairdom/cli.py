@@ -27,12 +27,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_test(args) -> int:
-    if args.discrete:
-        if args.k is not None:
-            args.usage_error("argument --k: not allowed with argument --discrete")
-        k = None
-    else:
-        k = gptest.DEFAULT_GRID_POINTS if args.k is None else args.k
+    k = args.k
+    if k is None and not args.discrete:
+        k = gptest.DEFAULT_GRID_POINTS
     sample = read_paired_csv(args.input)
     result = gptest.test_st_wj(sample, k, args.n_sims, seed=args.seed)
     write_json(result.to_json_dict(), args.output or sys.stdout)
@@ -63,7 +60,7 @@ def _cmd_mc(args) -> int:
     if not args.output_csv and not args.output_json:
         sys.stdout.write(report.to_csv_text())
     print(
-        f"{report.case_id} n={report.n} reps={report.replications} "
+        f"{cfg.scenario.case_id} n={cfg.n} reps={cfg.replications} "
         f"wall={report.wall_time:.1f}s",
         file=sys.stderr,
     )
@@ -137,24 +134,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="dominance test on a paired CSV")
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--seed", required=True, type=int)
-    p_test.add_argument("--k", type=int,
-                        help=f"grid steps, {gptest.DEFAULT_GRID_POINTS} if not given")
-    p_test.add_argument("--n-sims", type=int, default=10_000)
-    p_test.add_argument("--discrete", action="store_true",
-                        help="treat the data as integer-valued/ordinal: "
-                             "the grid is the realized support, so no --k")
+    grid = p_test.add_mutually_exclusive_group()
+    grid.add_argument("--k", type=int,
+                      help=f"grid steps, {gptest.DEFAULT_GRID_POINTS} if not given")
+    p_test.add_argument("--n-sims", type=int, default=gptest.DEFAULT_N_SIMS)
+    grid.add_argument("--discrete", action="store_true",
+                      help="treat the data as integer-valued/ordinal: "
+                           "the grid is the realized support, so no --k")
     p_test.add_argument("--output")
-    p_test.set_defaults(func=_cmd_test, usage_error=p_test.error)
+    p_test.set_defaults(func=_cmd_test)
 
     p_mc = sub.add_parser("mc", help="rejection-rate experiment")
     p_mc.add_argument("--case", required=True, choices=sorted(montecarlo.SCENARIOS))
     p_mc.add_argument("--n", required=True, type=int)
     p_mc.add_argument("--replications", type=int, default=200)
     p_mc.add_argument("--seed", required=True, type=int)
-    p_mc.add_argument("--k", type=int, default=100)
-    p_mc.add_argument("--n-sims", type=int, default=2000)
-    p_mc.add_argument("--levels", type=_levels, default=[0.05, 0.01])
-    p_mc.add_argument("--tests", type=_tests, default=["stwj"])
+    p_mc.add_argument("--k", type=int, default=montecarlo.ExperimentConfig.k)
+    p_mc.add_argument("--n-sims", type=int, default=montecarlo.ExperimentConfig.n_sims)
+    p_mc.add_argument("--levels", type=_levels, default=montecarlo.ExperimentConfig.levels)
+    p_mc.add_argument("--tests", type=_tests, default=montecarlo.ExperimentConfig.tests)
     p_mc.add_argument("--output-csv")
     p_mc.add_argument("--output-json")
     p_mc.set_defaults(func=_cmd_mc)
@@ -165,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pf.add_argument("--z", help="optional common asset for portfolio composition")
     p_pf.add_argument("--alpha", type=float, default=0.2)
     p_pf.add_argument("--seed", required=True, type=int)
-    p_pf.add_argument("--k", type=int, default=100)
-    p_pf.add_argument("--n-sims", type=int, default=10_000)
+    p_pf.add_argument("--k", type=int, default=gptest.DEFAULT_GRID_POINTS)
+    p_pf.add_argument("--n-sims", type=int, default=gptest.DEFAULT_N_SIMS)
     p_pf.add_argument("--output")
     p_pf.set_defaults(func=_cmd_portfolio)
 

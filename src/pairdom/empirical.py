@@ -124,11 +124,11 @@ def statistic_and_t_star(s: PairedSample) -> tuple[float, float]:
     """
     d = s.x - s.y
     n = len(d)
-    f = EmpiricalSurvival.from_values(d)
-    g = EmpiricalSurvival.from_values(-d)
-    candidates = np.concatenate(([0.0], d[d >= 0], -d[d <= 0]))
-    above_f = n - np.searchsorted(f.sorted_values, candidates, side="right")
-    above_g = n - np.searchsorted(g.sorted_values, candidates, side="right")
+    sd = np.sort(d)
+    candidates = np.concatenate(([0.0], np.abs(d)))
+    above_f = n - np.searchsorted(sd, candidates, side="right")
+    # -d exceeds c exactly where d < -c, so the one sort serves both counts
+    above_g = np.searchsorted(sd, -candidates, side="left")
     gap = above_f / n - above_g / n
     count_gap = above_f - above_g
     t_star = float(candidates[count_gap == count_gap.max()].min())

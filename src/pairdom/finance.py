@@ -44,14 +44,6 @@ __all__ = [
     "fixture_path",
 ]
 
-VERDICTS = (
-    "evidence_against_forward",
-    "evidence_against_reverse",
-    "possibly_equal_differences",
-    "strict_dominance_consistent",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Dated closing prices, strictly increasing dates, positive closes."""

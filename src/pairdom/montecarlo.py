@@ -32,13 +32,16 @@ stop_at = max(levels). Once the running mid-p count reaches that level,
 the full p1 can only be larger and no level rejects, so the remaining
 draws are skipped. The decisions, and hence every rate, are the same as
 from the full test.
+
+A RejectionReport keeps the ExperimentConfig it ran as config; its CSV
+and JSON forms and its Wilson intervals read the settings from there.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +58,7 @@ from .distributions import (
     sample_clayton_bivariate,
 )
 from .empirical import PairedSample
-from .errors import DegenerateSampleError, ParameterError
+from .errors import CapacityError, DegenerateSampleError, ParameterError
 from .seeding import derive_seed
 
 __all__ = [
@@ -77,6 +80,9 @@ _Z95 = 1.959963984540054
 # ranking makes several arrays of the chunk's size, and twice the budget
 # raised the benchmark's peak RSS by ~2% for no measured speed.
 _CHUNK_BYTES = 32 << 10
+# Largest sample size: one coordinate of the sample, n floats, fills the
+# 64 MiB block budget that also caps gptest.build_grid's k.
+_MAX_N = gptest._BLOCK_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -123,20 +129,26 @@ def scenario(case_id: str) -> ScenarioSpec:
         raise ParameterError(f"unknown case {case_id!r}; expected C1..C8") from None
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
+    if n > _MAX_N:
+        raise CapacityError(f"n={n} pairs: at most {_MAX_N} floats per coordinate fit in 64 MiB")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: ScenarioSpec
     n: int
     replications: int
     master_seed: int
-    k: int = 100
+    k: int = gptest.DEFAULT_GRID_POINTS
     n_sims: int = 2000
     levels: tuple[float, ...] = (0.05, 0.01)
     tests: tuple[str, ...] = ("stwj",)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"n must be >= 2, got {self.n}")
+        _check_n(self.n)
         if self.replications < 1:
             raise ParameterError("replications must be >= 1")
         if not self.levels or any(not (0.0 < lv < 1.0) for lv in self.levels):
@@ -148,7 +160,7 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class RejectionReport:
-    """Rejection rates per (test, level), with failure counts.
+    """Rejection rates per (test, level) of one ExperimentConfig, with failure counts.
 
     A replication whose test raises a degenerate-sample error counts as a
     failure for that test and as a non-rejection in the rate; failures are
@@ -159,16 +171,9 @@ class RejectionReport:
     artifacts.
     """
 
-    case_id: str
-    n: int
-    replications: int
-    master_seed: int
-    k: int
-    n_sims: int
-    levels: tuple[float, ...]
-    tests: tuple[str, ...]
-    rates: dict[tuple[str, float], float] = field(default_factory=dict)
-    failures: dict[str, int] = field(default_factory=dict)
+    config: ExperimentConfig
+    rates: dict[tuple[str, float], float]
+    failures: dict[str, int]
     wall_time: float = 0.0
 
     def rate(self, test: str, level: float) -> float:
@@ -177,32 +182,34 @@ class RejectionReport:
     def interval(self, test: str, level: float) -> tuple[float, float]:
         """95% Wilson score interval for a rate over the replications."""
         p = self.rates[(test, level)]
-        n = self.replications
+        n = self.config.replications
         z2 = _Z95 * _Z95
         centre = (p + z2 / (2 * n)) / (1 + z2 / n)
         half = _Z95 / (1 + z2 / n) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
         return max(0.0, centre - half), min(1.0, centre + half)
 
     def to_csv_text(self) -> str:
+        cfg = self.config
         lines = ["case,n,test,level,rate,failures"]
-        for test in self.tests:
-            for level in self.levels:
+        for test in cfg.tests:
+            for level in cfg.levels:
                 lines.append(
-                    f"{self.case_id},{self.n},{test},{level!r},"
+                    f"{cfg.scenario.case_id},{cfg.n},{test},{level!r},"
                     f"{self.rates[(test, level)]!r},{self.failures[test]}"
                 )
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        cfg = self.config
         return {
-            "case": self.case_id,
-            "n": self.n,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "k": self.k,
-            "n_sims": self.n_sims,
-            "levels": list(self.levels),
-            "tests": list(self.tests),
+            "case": cfg.scenario.case_id,
+            "n": cfg.n,
+            "replications": cfg.replications,
+            "master_seed": cfg.master_seed,
+            "k": cfg.k,
+            "n_sims": cfg.n_sims,
+            "levels": list(cfg.levels),
+            "tests": list(cfg.tests),
             "rates": [
                 {
                     "test": test,
@@ -211,8 +218,8 @@ class RejectionReport:
                     "wilson95": list(self.interval(test, level)),
                     "failures": self.failures[test],
                 }
-                for test in self.tests
-                for level in self.levels
+                for test in cfg.tests
+                for level in cfg.levels
             ],
         }
 
@@ -222,9 +229,12 @@ class RejectionReport:
 
 
 def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
-    """Draw a paired sample from a scenario; deterministic per seed."""
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    """Draw a paired sample from a scenario; deterministic per seed.
+
+    n > 2**23, past 64 MiB per coordinate, raises CapacityError before
+    anything is drawn.
+    """
+    _check_n(n)
     if spec.normal is not None:
         return sample_bivariate_normal(spec.normal, n, seed)
     return sample_clayton_bivariate(spec.theta, spec.marginal_x, spec.marginal_y, n, seed)
@@ -269,16 +279,4 @@ def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
             for level in cfg.levels:
                 counts[(test, level)] += int(np.count_nonzero(~rows.failed & (rows.p_value < level)))
     rates = {key: counts[key] / cfg.replications for key in counts}
-    return RejectionReport(
-        case_id=cfg.scenario.case_id,
-        n=cfg.n,
-        replications=cfg.replications,
-        master_seed=cfg.master_seed,
-        k=cfg.k,
-        n_sims=cfg.n_sims,
-        levels=cfg.levels,
-        tests=cfg.tests,
-        rates=rates,
-        failures=failures,
-        wall_time=time.perf_counter() - started,
-    )
+    return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started)

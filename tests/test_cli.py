@@ -10,7 +10,8 @@ import pytest
 import pairdom
 
 from conftest import SIX_ATOM_POINTS
-from pairdom.cli import main
+from pairdom import gptest, montecarlo
+from pairdom.cli import build_parser, main
 from pairdom.empirical import read_paired_csv
 from pairdom.oracle import DiscreteBivariate, write_atoms_csv
 
@@ -24,7 +25,7 @@ ORDINAL_30 = """
 """
 ORDINAL_30_DISCRETE_JSON = """{
   "statistic": 0.18257418583505533,
-  "t_star": -0.0,
+  "t_star": 0.0,
   "p1": 0.539,
   "p_se": 0.01114627740548386,
   "n": 30,
@@ -101,15 +102,22 @@ class TestTestCommand:
                     "--discrete"]) == 0
         assert capsys.readouterr().out == ORDINAL_30_DISCRETE_JSON
 
-    @pytest.mark.parametrize("k", ["50", "100"])
-    def test_discrete_with_k_is_usage_error(self, tmp_path, capsys, k):
-        # 100 is the --k default, so argparse alone cannot tell it was given
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--discrete", "--k", "50"],
+                     "argument --k: not allowed with argument --discrete", id="50"),
+        # 100 is also the grid used without --k; giving it is still an error
+        pytest.param(["--discrete", "--k", "100"],
+                     "argument --k: not allowed with argument --discrete", id="100"),
+        pytest.param(["--k", "50", "--discrete"],
+                     "argument --discrete: not allowed with argument --k", id="k-first"),
+    ])
+    def test_discrete_with_k_is_usage_error(self, tmp_path, capsys, flags, message):
         pairs = tmp_path / "ordinal.csv"
         pairs.write_text("x,y\n" + "\n".join(ORDINAL_30.split()) + "\n")
         with pytest.raises(SystemExit) as exc:
-            run(["test", "--input", str(pairs), "--seed", "5", "--discrete", "--k", k])
+            run(["test", "--input", str(pairs), "--seed", "5", *flags])
         assert exc.value.code == 1
-        assert "not allowed with argument --discrete" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_k_beyond_the_block_budget_exits_2(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
@@ -146,6 +154,42 @@ class TestTestCommand:
                               capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == in_process.encode("utf-8")
+
+
+class TestParserDefaults:
+    """The command line takes its defaults from the library, not from copies."""
+
+    def test_mc_defaults_are_experiment_configs(self):
+        args = build_parser().parse_args(["mc", "--case", "C1", "--n", "10", "--seed", "1"])
+        cfg = montecarlo.ExperimentConfig(
+            montecarlo.scenario("C1"), n=10, replications=1, master_seed=1
+        )
+        assert args.k == cfg.k
+        assert args.n_sims == cfg.n_sims
+        assert tuple(args.levels) == cfg.levels
+        assert tuple(args.tests) == cfg.tests
+
+    def test_test_and_portfolio_defaults_are_gptests(self, tmp_path, capsys):
+        defaults = (gptest.DEFAULT_GRID_POINTS, gptest.DEFAULT_N_SIMS)
+        args = build_parser().parse_args(["portfolio", "--x", "x.csv", "--y", "y.csv",
+                                          "--seed", "1"])
+        assert (args.k, args.n_sims) == defaults
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,y\n1,2\n3,1\n2,2\n")
+        assert run(["test", "--input", str(pairs), "--seed", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["k"], payload["n_sims"]) == defaults
+
+
+class TestSampleSizeCap:
+    @pytest.mark.parametrize("command", [["simulate"], ["mc", "--replications", "1"]])
+    def test_n_beyond_the_cap_exits_2(self, monkeypatch, capsys, command):
+        # a small cap stands in for 2**23, so no large sample is ever drawn
+        monkeypatch.setattr(montecarlo, "_MAX_N", 40)
+        args = [*command, "--case", "C5", "--seed", "1", "--n"]
+        assert run(args + ["41"]) == 2
+        assert "at most 40 floats per coordinate fit in 64 MiB" in capsys.readouterr().err
+        assert run(args + ["40"]) == 0
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -146,6 +147,11 @@ class TestTStar:
         # d = (1, -0.5, 2): n * gap is 1 on [0, 0.5), 2 on [0.5, 1), 1 on [1, 2), 0 after
         s = PairedSample(np.array([1.0, -0.5, 2.0]), np.zeros(3))
         assert statistic_and_t_star(s) == (np.sqrt(3.0) * 2.0 / 3.0, 0.5)
+
+    def test_zero_difference_gives_positive_zero(self):
+        # d = (0, 1): the gap peaks at t = 0, which the zero difference also hits
+        _, t_star = statistic_and_t_star(PairedSample(np.array([1.0, 1.0]), np.array([1.0, 0.0])))
+        assert t_star == 0.0 and math.copysign(1.0, t_star) == 1.0
 
     @given(st.lists(st.integers(-8, 8).map(lambda v: v / 2), min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ from scipy.special import gamma as gamma_fn
 from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams, Pareto, Weibull
 from pairdom.empirical import write_json
-from pairdom.errors import ParameterError
+from pairdom.errors import CapacityError, ParameterError
 from pairdom.montecarlo import (
     SCENARIOS,
     ExperimentConfig,
@@ -79,6 +79,22 @@ class TestGenerateScenario:
         a = generate_scenario(scenario("C7"), 200, seed=11)
         b = generate_scenario(scenario("C7"), 200, seed=11)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    def test_cap_is_64_mib_per_coordinate(self):
+        assert montecarlo._MAX_N * 8 == 64 << 20
+
+    @pytest.mark.parametrize("case, sampler", [("C1", "sample_bivariate_normal"),
+                                               ("C5", "sample_clayton_bivariate")])
+    def test_n_beyond_the_cap_raises_before_drawing(self, monkeypatch, case, sampler):
+        # a small cap stands in for 2**23, so no large sample is ever drawn
+        monkeypatch.setattr(montecarlo, "_MAX_N", 40)
+        assert generate_scenario(scenario(case), 40, seed=1).n == 40
+        assert ExperimentConfig(scenario(case), n=40, replications=1, master_seed=1).n == 40
+        monkeypatch.setattr(montecarlo, sampler, lambda *args: pytest.fail("drew a sample"))
+        with pytest.raises(CapacityError, match="at most 40 floats"):
+            generate_scenario(scenario(case), 41, seed=1)
+        with pytest.raises(CapacityError, match="at most 40 floats"):
+            ExperimentConfig(scenario(case), n=41, replications=1, master_seed=1)
 
 
 def small_config(case_id: str, n: int, reps: int, tests=("stwj",), seed=505) -> ExperimentConfig:
@@ -306,11 +322,11 @@ class TestChunks:
 
 
 def report_with_rate(rate: float, replications: int) -> RejectionReport:
-    return RejectionReport(
-        case_id="C8", n=100, replications=replications, master_seed=0, k=100,
+    cfg = ExperimentConfig(
+        scenario=scenario("C8"), n=100, replications=replications, master_seed=0, k=100,
         n_sims=2000, levels=(0.05,), tests=("stwj",),
-        rates={("stwj", 0.05): rate}, failures={"stwj": 0},
     )
+    return RejectionReport(cfg, rates={("stwj", 0.05): rate}, failures={"stwj": 0})
 
 
 class TestWilsonInterval:
