@@ -38,7 +38,6 @@ from .errors import (
     CsvFormatError,
     DegenerateSampleError,
     DomainError,
-    FactorizationError,
     InsufficientDataError,
     PairdomError,
     ParameterError,

@@ -17,19 +17,23 @@ Sampling is by conditional inversion: with U, W independent uniforms,
 
 inverts the conditional distribution of V given U.
 
+A bivariate normal's covariance is checked and factorized once, when its
+BivariateNormalParams is built, so a covariance that constructs can be
+sampled; sample_bivariate_normal reuses the stored factor.
+
 scipy.special is imported only in the Normal branches of cdf and
 quantile, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .empirical import PairedSample
-from .errors import DomainError, FactorizationError, ParameterError
+from .errors import DomainError, ParameterError
 from .seeding import make_rng
 
 __all__ = [
@@ -128,10 +132,16 @@ def quantile(dist: MarginalDist, p):
 
 @dataclass(frozen=True)
 class BivariateNormalParams:
-    """Mean 2-vector and symmetric positive-semidefinite 2x2 covariance."""
+    """Mean 2-vector and symmetric positive-semidefinite 2x2 covariance.
+
+    The constructor accepts sigma only if its lower Cholesky factor exists
+    up to a relative tolerance of 1e-12, and keeps that factor as chol. A
+    pivot that vanishes (PSD but singular) gives a zero column.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
+    chol: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -146,8 +156,21 @@ class BivariateNormalParams:
             raise ParameterError("sigma diagonal must be nonnegative")
         if float(np.linalg.det(sig)) < -1e-12:
             raise ParameterError("sigma must be positive semidefinite (det < -1e-12)")
+        s11, s12, s22 = float(sig[0, 0]), float(sig[0, 1]), float(sig[1, 1])
+        tol = 1e-12 * max(s11, s22, 1.0)
+        l11 = np.sqrt(s11)
+        if l11 > 0:
+            l21 = s12 / l11
+        elif abs(s12) > tol:
+            raise ParameterError("sigma has zero variance with nonzero covariance")
+        else:
+            l21 = 0.0
+        rem = s22 - l21 * l21
+        if rem < -tol:
+            raise ParameterError(f"sigma is not positive semidefinite (pivot {rem:.3e})")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sig)
+        object.__setattr__(self, "chol", np.array([[l11, 0.0], [l21, np.sqrt(max(rem, 0.0))]]))
 
 
 @dataclass(frozen=True)
@@ -162,39 +185,13 @@ class ClaytonParams:
             raise ParameterError(f"clayton theta must be > 0, got {self.theta}")
 
 
-def _cholesky_2x2(sig: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a 2x2 PSD matrix.
-
-    A pivot that vanishes (PSD but singular) produces a zero column; a
-    pivot that is negative beyond tolerance raises FactorizationError.
-    """
-    s11, s12, s22 = float(sig[0, 0]), float(sig[0, 1]), float(sig[1, 1])
-    scale = max(abs(s11), abs(s22), 1.0)
-    tol = 1e-12 * scale
-    if s11 < -tol or s22 < -tol:
-        raise FactorizationError("negative variance on the diagonal")
-    l11 = np.sqrt(max(s11, 0.0))
-    if l11 > 0:
-        l21 = s12 / l11
-    else:
-        if abs(s12) > tol:
-            raise FactorizationError("zero variance with nonzero covariance")
-        l21 = 0.0
-    rem = s22 - l21 * l21
-    if rem < -tol:
-        raise FactorizationError(f"residual pivot {rem:.3e} below tolerance")
-    l22 = np.sqrt(max(rem, 0.0))
-    return np.array([[l11, 0.0], [l21, l22]])
-
-
 def sample_bivariate_normal(params: BivariateNormalParams, n: int, seed: int) -> PairedSample:
     """n draws of a bivariate normal pair; bit-identical for a fixed seed."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    chol = _cholesky_2x2(params.sigma)
     rng = make_rng(seed)
     z = rng.standard_normal((n, 2))
-    xy = params.mu + z @ chol.T
+    xy = params.mu + z @ params.chol.T
     return PairedSample(xy[:, 0], xy[:, 1])
 
 

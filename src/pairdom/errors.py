@@ -17,10 +17,6 @@ class DegenerateSampleError(PairdomError):
     """All paired differences are zero; the test statistic is undefined."""
 
 
-class FactorizationError(PairdomError):
-    """A covariance matrix is not positive semidefinite up to tolerance."""
-
-
 class CapacityError(PairdomError):
     """An exact computation would exceed its configured size cap."""
 

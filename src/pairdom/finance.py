@@ -44,6 +44,10 @@ __all__ = [
     "fixture_path",
 ]
 
+# level of every test decision in analyze_pair
+_LEVEL = 0.05
+
+
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Dated closing prices, strictly increasing dates, positive closes."""
@@ -167,11 +171,10 @@ def analyze_pair(
     n_sims: int = gptest.DEFAULT_N_SIMS,
     *,
     seed: int,
-    level: float = 0.05,
 ) -> AnalysisReport:
     """Run the dominance test in both directions plus the strictness check.
 
-    Verdicts, in order of precedence:
+    Every decision is taken at level 0.05. Verdicts, in order of precedence:
 
     - evidence_against_forward: the test rejects 'X dominated by Y'.
     - strict_dominance_consistent: the forward order is retained and the
@@ -189,13 +192,13 @@ def analyze_pair(
     t_res = paired_t_test(s)
     # two-sided mean-difference p from the one-sided result
     p_two_sided = 2.0 * min(t_res.p_value, 1.0 - t_res.p_value)
-    means_differ = p_two_sided < level
+    means_differ = p_two_sided < _LEVEL
     mean_gap_positive = float(np.mean(s.y - s.x)) > 0.0
-    if forward.reject_at(level):
+    if forward.reject_at(_LEVEL):
         verdict = "evidence_against_forward"
     elif means_differ and mean_gap_positive:
         verdict = "strict_dominance_consistent"
-    elif reverse.reject_at(level):
+    elif reverse.reject_at(_LEVEL):
         verdict = "evidence_against_reverse"
     else:
         verdict = "possibly_equal_differences"

@@ -200,8 +200,8 @@ _SIM_CHUNK = 1 << 16
 # bytes of normals in one block: 65 536 draws up to dim 128, fewer beyond;
 # also the bound on the k+1 points of an equally spaced grid
 _BLOCK_BYTES = 64 << 20
-_FIRST_STOP_BLOCK = 256
-_STOP_BLOCK_GROWTH = 4
+_FIRST_BLOCK = 256
+_BLOCK_GROWTH = 4
 
 
 def pvalue_bounds(
@@ -210,7 +210,7 @@ def pvalue_bounds(
     n_sims: int,
     seed: int,
     *,
-    stop_at: float | None = None,
+    stop_at: float = 1.0,
 ) -> float:
     """Monte Carlo p-value upper bound p1 for the statistic.
 
@@ -218,20 +218,16 @@ def pvalue_bounds(
     each, and returns the fraction whose maximum exceeds stat, counting a
     maximum equal to stat one half.
 
-    Draws are generated in blocks of at most 65 536 draws and at most
-    64 MiB of normals, so memory stays bounded whatever c.dim is; the
-    block structure does not change the stream, so results depend only on
-    (c, stat, n_sims, seed) and stop_at.
+    Draws come in blocks that start at 256 draws and grow by a factor of
+    4 up to 65 536 draws and 64 MiB of normals, so memory stays bounded
+    whatever c.dim is; the blocks do not change the stream.
 
-    Early stop. A caller that only compares p1 with levels <= stop_at may
-    pass stop_at. The blocks then grow from 256 draws by a factor of 4 up
-    to that cap, and after each block the run returns the running mid-p
-    count over n_sims as soon as that reaches stop_at. The count only
-    grows, so the value is a lower bound on p1, and both are >= every such
-    level: neither rejects. A run that does not stop returns p1 itself,
-    bit for bit. This is the exact form of the sequential Monte Carlo
-    p-value of Besag & Clifford (1991). Without stop_at every block is
-    at the cap, the fastest schedule when every draw is needed.
+    After each block the run returns the running mid-p count over n_sims
+    once that reaches stop_at. The count only grows, so the value is a
+    lower bound on p1 and both are >= every level <= stop_at: neither
+    rejects there. A run that does not stop returns p1 bit for bit, and
+    the default 1.0 is reached only by the last draw, if at all. This is
+    the exact sequential Monte Carlo p-value of Besag & Clifford (1991).
     """
     if not np.isfinite(stat):
         raise ParameterError(f"statistic must be finite, got {stat}")
@@ -255,7 +251,7 @@ def pvalue_bounds(
     ties = 0
     drawn = 0
     max_block = min(_SIM_CHUNK, max(1, _BLOCK_BYTES // (8 * max(1, c.dim))))
-    block = max_block if stop_at is None else min(_FIRST_STOP_BLOCK, max_block)
+    block = min(_FIRST_BLOCK, max_block)
     while drawn < n_sims:
         size = min(block, n_sims - drawn)
         z = rng.standard_normal((size, c.dim))
@@ -272,9 +268,9 @@ def pvalue_bounds(
         exceed += int(np.count_nonzero(peak > stat))
         ties += int(np.count_nonzero(peak == stat))
         drawn += size
-        if stop_at is not None and (exceed + 0.5 * ties) / n_sims >= stop_at:
+        if (exceed + 0.5 * ties) / n_sims >= stop_at:
             break
-        block = min(block * _STOP_BLOCK_GROWTH, max_block)
+        block = min(block * _BLOCK_GROWTH, max_block)
     return (exceed + 0.5 * ties) / n_sims
 
 
@@ -284,7 +280,7 @@ def test_st_wj(
     n_sims: int = DEFAULT_N_SIMS,
     *,
     seed: int,
-    stop_at: float | None = None,
+    stop_at: float = 1.0,
 ) -> TestResult:
     """Full test of the null 'X is dominated by Y' on a paired sample.
 
@@ -294,9 +290,10 @@ def test_st_wj(
     seed.
 
     stop_at is passed to pvalue_bounds, for callers that compare p1 only
-    with levels <= stop_at. p1 is then exact when it is below stop_at and
+    with levels <= stop_at. p1 is exact when it is below stop_at and
     otherwise lies in [stop_at, full p1], so reject_at(level) is exact for
-    every level <= stop_at. Without stop_at, p1 is the full simulation's.
+    every level <= stop_at. With the default 1.0, p1 is the full
+    simulation's.
     """
     if s.n < 2:
         raise ParameterError("the test needs at least two pairs")

@@ -28,13 +28,15 @@ commutative, so the report does not depend on the chunk size.
 
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
-stop_at = max(levels). Once the running mid-p count reaches that level,
-the full p1 can only be larger and no level rejects, so the remaining
-draws are skipped. The decisions, and hence every rate, are the same as
-from the full test.
+stop_at = max(levels) in place of the default 1.0. The draws are the
+same blocks as in any other run; once the running mid-p count reaches
+that level, the full p1 can only be larger and no level rejects, so the
+remaining draws are skipped. The decisions, and hence every rate, are
+the same as from the full test.
 
-A RejectionReport keeps the ExperimentConfig it ran as config; its CSV
-and JSON forms and its Wilson intervals read the settings from there.
+An ExperimentConfig lists each test and each level at most once. A
+RejectionReport keeps the ExperimentConfig it ran as config; its CSV and
+JSON forms and its Wilson intervals read the settings from there.
 """
 
 from __future__ import annotations
@@ -156,6 +158,8 @@ class ExperimentConfig:
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown or not self.tests:
             raise ParameterError(f"tests must be a nonempty subset of {ALL_TESTS}")
+        if len(set(self.tests)) < len(self.tests) or len(set(self.levels)) < len(self.levels):
+            raise ParameterError("tests and levels must not repeat an entry")
 
 
 @dataclass(eq=False)

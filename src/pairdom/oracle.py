@@ -86,18 +86,15 @@ class DiscreteBivariate:
 class OrderVerdict:
     """Outcome of an exact order check.
 
-    witness_t is present exactly when the order fails and identifies the
-    first violating check point (for grid checks, a flattened grid index).
+    witness_t is the first violating check point, or None when the order
+    holds.
     """
 
-    holds: bool
     witness_t: Optional[float] = None
 
-    def __post_init__(self):
-        if self.holds and self.witness_t is not None:
-            raise ParameterError("a holding verdict carries no witness")
-        if not self.holds and self.witness_t is None:
-            raise ParameterError("a failing verdict needs a witness")
+    @property
+    def holds(self) -> bool:
+        return self.witness_t is None
 
 
 class MarginalOrder(Enum):
@@ -166,7 +163,7 @@ def check_st_wj_discrete(d: DiscreteBivariate, tol: float = 1e-12) -> OrderVerdi
     """Exact check of P(X-Y > t) <= P(Y-X > t) for all real t."""
     dxy, dyx = _difference_laws(d)
     witness = _survival_dominates(dxy, dyx, tol)
-    return OrderVerdict(holds=witness is None, witness_t=witness)
+    return OrderVerdict(witness)
 
 
 def check_precedence(d: DiscreteBivariate) -> tuple[float, float]:

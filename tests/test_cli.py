@@ -38,6 +38,98 @@ ORDINAL_30_DISCRETE_JSON = """{
 }
 """
 
+# What `pairdom test` prints at the default --k and --n-sims for
+# `pairdom simulate --case C3 --n 300 --seed 3`, with --seed 11.
+C3_300_JSON = """{
+  "statistic": 0.057735026918962595,
+  "t_star": 1.534988159243745,
+  "p1": 0.9149,
+  "p_se": 0.0027903044636741698,
+  "n": 300,
+  "k": 100,
+  "cells": 67,
+  "n_sims": 10000,
+  "seed": 11,
+  "reject_at_0_05": false,
+  "reject_at_0_01": false
+}
+"""
+
+# What `pairdom portfolio` prints at the default --k and --n-sims for the
+# bundled asset_x and asset_y, with --seed 17, without and with --z asset_z.
+PORTFOLIO_XY_JSON = """{
+  "stwj_forward": {
+    "statistic": 0.0,
+    "t_star": 0.060338963061181805,
+    "p1": 0.98035,
+    "p_se": 0.0013879437128356447,
+    "n": 339,
+    "k": 100,
+    "cells": 68,
+    "n_sims": 10000,
+    "seed": 1422833171413083632,
+    "reject_at_0_05": false,
+    "reject_at_0_01": false
+  },
+  "stwj_reverse": {
+    "statistic": 1.9552516077368465,
+    "t_star": 0.014009141152181794,
+    "p1": 0.0429,
+    "p_se": 0.0020263166090223905,
+    "n": 339,
+    "k": 100,
+    "cells": 68,
+    "n_sims": 10000,
+    "seed": 11694156604828383914,
+    "reject_at_0_05": true,
+    "reject_at_0_01": false
+  },
+  "t_test": {
+    "method": "students_t",
+    "statistic": 2.8238437366168143,
+    "p_value": 0.9974867187118881,
+    "n_effective": 339
+  },
+  "verdict": "strict_dominance_consistent"
+}
+"""
+PORTFOLIO_XYZ_JSON = """{
+  "stwj_forward": {
+    "statistic": 0.0,
+    "t_star": 0.048271170448945445,
+    "p1": 0.98035,
+    "p_se": 0.0013879437128356447,
+    "n": 339,
+    "k": 100,
+    "cells": 68,
+    "n_sims": 10000,
+    "seed": 1422833171413083632,
+    "reject_at_0_05": false,
+    "reject_at_0_01": false
+  },
+  "stwj_reverse": {
+    "statistic": 1.9552516077368465,
+    "t_star": 0.011207312921745434,
+    "p1": 0.0429,
+    "p_se": 0.0020263166090223905,
+    "n": 339,
+    "k": 100,
+    "cells": 68,
+    "n_sims": 10000,
+    "seed": 11694156604828383914,
+    "reject_at_0_05": true,
+    "reject_at_0_01": false
+  },
+  "t_test": {
+    "method": "students_t",
+    "statistic": 2.8238437366168148,
+    "p_value": 0.9974867187118881,
+    "n_effective": 339
+  },
+  "verdict": "strict_dominance_consistent"
+}
+"""
+
 
 def run(args) -> int:
     return main(args)
@@ -118,6 +210,13 @@ class TestTestCommand:
             run(["test", "--input", str(pairs), "--seed", "5", *flags])
         assert exc.value.code == 1
         assert message in capsys.readouterr().err
+
+    def test_full_run_output_bytes_are_pinned(self, tmp_path, capsys):
+        pairs = tmp_path / "c3.csv"
+        assert run(["simulate", "--case", "C3", "--n", "300", "--seed", "3",
+                    "--output", str(pairs)]) == 0
+        assert run(["test", "--input", str(pairs), "--seed", "11"]) == 0
+        assert capsys.readouterr().out == C3_300_JSON
 
     def test_k_beyond_the_block_budget_exits_2(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
@@ -261,6 +360,14 @@ class TestMcCommand:
         out = capsys.readouterr().out
         assert out.startswith("case,n,test,level,rate,failures")
 
+    @pytest.mark.parametrize("flags", [["--tests", "t,t"], ["--levels", "0.05,0.05"]])
+    def test_a_repeated_test_or_level_exits_2(self, capsys, flags):
+        assert run(["mc", "--case", "C2", "--n", "20", "--replications", "10",
+                    "--seed", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "must not repeat" in err
+        assert "Traceback" not in err
+
     def test_bad_case_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["mc", "--case", "C99", "--n", "20", "--seed", "1"])
@@ -295,6 +402,20 @@ class TestPortfolioCommand:
         assert run(args + ["--output", str(a)]) == 0
         assert run(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("z, expected", [
+        pytest.param(False, PORTFOLIO_XY_JSON, id="xy"),
+        pytest.param(True, PORTFOLIO_XYZ_JSON, id="xyz"),
+    ])
+    def test_full_run_output_bytes_are_pinned(self, capsys, z, expected):
+        from pairdom.finance import fixture_path
+
+        args = ["portfolio", "--x", str(fixture_path("asset_x.csv")),
+                "--y", str(fixture_path("asset_y.csv")), "--seed", "17"]
+        if z:
+            args += ["--z", str(fixture_path("asset_z.csv"))]
+        assert run(args) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestSimulateRoundTrip:

@@ -15,7 +15,7 @@ from pairdom.distributions import (
     sample_clayton_bivariate,
     sample_clayton_uniforms,
 )
-from pairdom.errors import DomainError, FactorizationError, ParameterError
+from pairdom.errors import DomainError, ParameterError
 
 PAPER_COV = np.array([[2.0, 1.5], [1.5, 1.5]])
 
@@ -115,9 +115,14 @@ class TestBivariateNormal:
     def test_sneaky_non_psd_fails_factorization(self):
         # det = -1e-14 slips past the -1e-12 slack; the pivot check catches it
         sigma = np.array([[0.0, 1e-7], [1e-7, 1.0]])
-        params = BivariateNormalParams(np.zeros(2), sigma)
-        with pytest.raises(FactorizationError):
-            sample_bivariate_normal(params, 10, seed=0)
+        with pytest.raises(ParameterError):
+            BivariateNormalParams(np.zeros(2), sigma)
+
+    def test_negative_residual_pivot_rejected_at_construction(self):
+        # det = -1e-13 passes the det check; the second pivot is -1e-7
+        s12 = np.sqrt(1e-6 + 1e-13)
+        with pytest.raises(ParameterError, match="pivot"):
+            BivariateNormalParams(np.zeros(2), np.array([[1e-6, s12], [s12, 1.0]]))
 
 
 def clayton_tau_by_quadrature(theta: float) -> float:

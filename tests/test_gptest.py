@@ -318,9 +318,12 @@ class TestBlockMemoryBound:
     def test_blocks_are_unchanged_up_to_dim_128(self, monkeypatch):
         cov = GpCovariance(cell=np.arange(1, 129), r=np.full(128, 1 / 128), q=np.zeros(128),
                            n_points=129)
+        # blocks grow from 256 by 4 to the 65 536-draw cap, which 64 MiB
+        # does not lower at dim 128
         shapes = self.record_blocks(monkeypatch)
-        pvalue_bounds(cov, 1.0, 70_000, seed=3)
-        assert shapes == [(65_536, 128), (4_464, 128)]
+        pvalue_bounds(cov, 1.0, 100_000, seed=3)
+        assert shapes == [(256, 128), (1_024, 128), (4_096, 128), (16_384, 128),
+                          (65_536, 128), (12_704, 128)]
 
     @pytest.mark.parametrize("case, n, seed, n_sims, count", [
         ("C3", 50, 1, 2000, 782),

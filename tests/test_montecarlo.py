@@ -192,6 +192,18 @@ class TestRejectionExperiment:
                 scenario=scenario("C1"), n=10, replications=1, master_seed=1, levels=(1.5,)
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("tests", ("t", "t")),
+        ("tests", ("stwj", "wilcoxon", "stwj")),
+        ("levels", (0.05, 0.05)),
+        ("levels", (0.05, 0.01, 0.05)),
+    ])
+    def test_a_repeated_test_or_level_is_rejected(self, field, value):
+        # a repeat would be counted twice, giving rates above 1
+        with pytest.raises(ParameterError, match="must not repeat"):
+            ExperimentConfig(scenario=scenario("C2"), n=20, replications=10, master_seed=1,
+                             **{field: value})
+
 
 # The stwj cells of the acceptance table (tests/test_acceptance.py).
 ACCEPTANCE_CELLS = [("C1", 100), ("C2", 50), ("C3", 50), ("C3", 500), ("C4", 200),

@@ -43,7 +43,7 @@ class TestSurvivalOfDifference:
 
 class TestCheckStWj:
     def test_six_atom_law_holds(self, six_atom_law):
-        assert check_st_wj_discrete(six_atom_law) == OrderVerdict(holds=True)
+        assert check_st_wj_discrete(six_atom_law) == OrderVerdict(witness_t=None)
 
     def test_swap_fails_with_witness(self, six_atom_law):
         verdict = check_st_wj_discrete(six_atom_law.swap())
