@@ -12,19 +12,32 @@ Clayton copula with theta = 0.5:
     C8  X ~ Weibull(0.5, 2)   Y ~ Weibull(0.9, 1.5)  (order fails)
 
 Each replication r of an experiment derives its own seeds from
-(master_seed, r), so results are independent of execution order and of
-any parallelism in the caller.
+(master_seed, r), so results are independent of execution order, of the
+worker count and of any parallelism in the caller.
 
 Replications run in chunks. Per replication, the harness draws the
 sample with seed (master_seed, r, 0), runs the dominance test on it with
 seed (master_seed, r, 1) (derived only when "stwj" is among the tests)
-and stores its differences y - x as one row of the chunk. Per chunk, each
-baseline (t, Wilcoxon) runs once over all the rows through
-baselines.paired_t_rows / wilcoxon_rows, whose row results equal the
-one-sample functions' bit for bit, with degenerate rows counted as
-failures. A chunk holds at most _CHUNK_BYTES of differences, and at
-least one row, so memory is bounded for any replications x n. Counting is
-commutative, so the report does not depend on the chunk size.
+and, when a baseline is configured, stores its differences y - x as one
+row of the chunk. Per chunk, each baseline (t, Wilcoxon) runs once over
+all the rows through baselines.paired_t_rows / wilcoxon_rows, whose row
+results equal the one-sample functions' bit for bit, with degenerate rows
+counted as failures. A chunk holds at most _CHUNK_BYTES of differences,
+and at least one row, so memory is bounded for any replications x n.
+Counting is commutative, so the report does not depend on the chunk size.
+
+The dominance test is nearly all of the cost, so its replications can be
+shared with helper processes (run_rejection_experiment's workers, by
+default one process per usable CPU). Helpers are started with "spawn"
+on the first call that wants them, kept for later calls, and stopped and
+reaped when the interpreter exits; a call never waits for one to start.
+Once ready, each takes every workers-th replication still to run and
+returns its rejection counts per level and its failure count, which are
+summed with this process's. The baselines, and cells without "stwj",
+stay in this process and never touch a helper. As with spawn-based
+multiprocessing in general, a script that runs experiments with
+workers > 1 needs an ``if __name__ == "__main__":`` guard, since each
+helper imports the main module again.
 
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
@@ -41,7 +54,10 @@ JSON forms and its Wilson intervals read the settings from there.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,15 +186,17 @@ class RejectionReport:
     failure for that test and as a non-rejection in the rate; failures are
     reported separately, never silently dropped. interval() gives the 95%
     Wilson interval of a rate, which the JSON form carries as wilson95.
-    wall_time is informative only and is excluded from the serialized
-    forms so that identical configurations produce byte-identical
-    artifacts.
+    wall_time and workers (the processes that ran dominance tests) are
+    informative only and are excluded from the serialized forms, so
+    that identical configurations produce byte-identical artifacts
+    whatever the timing or the worker count.
     """
 
     config: ExperimentConfig
     rates: dict[tuple[str, float], float]
     failures: dict[str, int]
     wall_time: float = 0.0
+    workers: int = 1
 
     def rate(self, test: str, level: float) -> float:
         return self.rates[(test, level)]
@@ -244,43 +262,232 @@ def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
     return sample_clayton_bivariate(spec.theta, spec.marginal_x, spec.marginal_y, n, seed)
 
 
-def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
+def run_rejection_experiment(cfg: ExperimentConfig, *, workers: int | None = None) -> RejectionReport:
     """Run the replication loop and aggregate rejection rates.
 
     Replication r draws its sample with seed (master_seed, r, 0) and runs
     the dominance test with seed (master_seed, r, 1); the baselines run
     once per chunk of replications on the stacked differences.
-    Aggregation is commutative counting, so any execution order and any
-    chunk size give the same report.
+    Aggregation is commutative counting, so any execution order, chunk
+    size and worker count give the same report.
+
+    workers is the number of processes that share the dominance test's
+    replications: None means the CPUs this process may run on, and 1
+    runs everything here. With more, and "stwj" among the tests, helper
+    processes are started on the first such call; once they are ready,
+    the replications still to run are dealt out in turn between this
+    process and them. The call never waits for a helper to start: until
+    one is ready it runs the replications itself. The baselines always
+    run here. workers below 1 or above os.cpu_count() raises
+    ParameterError before anything runs.
     """
+    workers = _check_workers(workers)
     started = time.perf_counter()
     counts = {(test, level): 0 for test in cfg.tests for level in cfg.levels}
     failures = {test: 0 for test in cfg.tests}
     stwj = "stwj" in cfg.tests
     baselines = [test for test in cfg.tests if test != "stwj"]
+    # the dominance-test tally of this process: rejections per level, then failures
+    tally = [0] * (len(cfg.levels) + 1)
+    # a call made while another thread deals to the helpers runs serially
+    dealing = stwj and workers > 1 and _helpers_lock.acquire(blocking=False)
+    waiting = []  # helpers that are still starting, or ready and not yet sent a share
+    shares = []  # (helper, the replications sent to it)
+    # from replication `split` on, this process tests every `step`-th one
+    split, step = cfg.replications, 1
     chunk = max(1, _CHUNK_BYTES // (8 * cfg.n))
-    for first in range(0, cfg.replications, chunk):
-        last = min(first + chunk, cfg.replications)
-        diffs = np.empty((last - first, cfg.n))
-        for r in range(first, last):
-            sample = generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
-            np.subtract(sample.y, sample.x, out=diffs[r - first])
-            if not stwj:
-                continue
-            try:
-                result = gptest.test_st_wj(
-                    sample, cfg.k, cfg.n_sims,
-                    seed=derive_seed(cfg.master_seed, r, 1), stop_at=max(cfg.levels),
-                )
-            except DegenerateSampleError:
-                failures["stwj"] += 1
-                continue
-            for level in cfg.levels:
-                counts[("stwj", level)] += result.reject_at(level)
-        for test in baselines:
-            rows = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
-            failures[test] += int(np.count_nonzero(rows.failed))
-            for level in cfg.levels:
-                counts[(test, level)] += int(np.count_nonzero(~rows.failed & (rows.p_value < level)))
+    try:
+        if dealing:
+            waiting = _start_helpers(workers - 1)
+        for first in range(0, cfg.replications, chunk):
+            last = min(first + chunk, cfg.replications)
+            diffs = np.empty((last - first, cfg.n)) if baselines else None
+            for r in range(first, last):
+                ready = [helper for helper in waiting if helper.is_ready()]
+                if ready:
+                    split, step = r, len(ready) + 1
+                    for i, helper in enumerate(ready, 1):
+                        shares.append((helper, range(r + i, cfg.replications, step)))
+                        helper.submit(cfg, shares[-1][1])
+                    waiting = []
+                mine = stwj and (r < split or (r - split) % step == 0)
+                if diffs is None and not mine:
+                    continue
+                sample = generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
+                if diffs is not None:
+                    np.subtract(sample.y, sample.x, out=diffs[r - first])
+                if mine:
+                    _tally_stwj(cfg, r, sample, tally)
+            for test in baselines:
+                rows = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
+                failures[test] += int(np.count_nonzero(rows.failed))
+                for level in cfg.levels:
+                    counts[(test, level)] += int(np.count_nonzero(~rows.failed & (rows.p_value < level)))
+        for helper, replications in shares:
+            share = helper.result()
+            if share is None:  # the helper is gone: run its share here
+                share = _stwj_share(cfg, replications)
+            tally = [a + b for a, b in zip(tally, share)]
+    except BaseException:
+        for helper, _ in shares:
+            helper.stop()
+        raise
+    finally:
+        if dealing:
+            _helpers_lock.release()
+    if stwj:
+        for i, level in enumerate(cfg.levels):
+            counts[("stwj", level)] = tally[i]
+        failures["stwj"] = tally[-1]
     rates = {key: counts[key] / cfg.replications for key in counts}
-    return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started)
+    return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started,
+                           workers=1 + len(shares))
+
+
+def _tally_stwj(cfg: ExperimentConfig, r: int, sample: PairedSample, tally: list[int]) -> None:
+    """Add replication r's dominance test to tally: a rejection per level or a failure."""
+    try:
+        result = gptest.test_st_wj(
+            sample, cfg.k, cfg.n_sims,
+            seed=derive_seed(cfg.master_seed, r, 1), stop_at=max(cfg.levels),
+        )
+    except DegenerateSampleError:
+        tally[-1] += 1
+        return
+    for i, level in enumerate(cfg.levels):
+        tally[i] += result.reject_at(level)
+
+
+def _stwj_share(cfg: ExperimentConfig, replications: range) -> list[int]:
+    """The dominance-test tally of some replications: a helper's share."""
+    tally = [0] * (len(cfg.levels) + 1)
+    for r in replications:
+        sample = generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
+        _tally_stwj(cfg, r, sample, tally)
+    return tally
+
+
+def _check_workers(workers: int | None) -> int:
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ParameterError(f"workers must be between 1 and {cpus} (the CPU count), got {workers}")
+    return workers
+
+
+# Helper processes. They are started with "spawn": fork is unsafe once
+# BLAS threads run, and a forkserver's server process outlives the
+# interpreter. A helper lives as long as this process and is stopped and
+# reaped at exit. multiprocessing is imported only on this path, so a
+# call with workers=1 or without "stwj" never loads it.
+
+_helpers: list[_Helper] = []  # live helpers, oldest first
+_helpers_lock = threading.Lock()  # held by the call that deals replications to them
+# set when a helper exits before it is ready (say, the main module cannot be
+# imported again in a fresh process); no helper is started after that
+_spawn_failed = False
+if hasattr(os, "register_at_fork"):  # a forked child must not share its parent's helpers
+    os.register_at_fork(after_in_child=_helpers.clear)
+
+
+class _Helper:
+    """One helper process and this process's end of its pipe."""
+
+    def __init__(self, context):
+        self.conn, theirs = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(theirs,), name="pairdom-helper", daemon=True
+        )
+        self.process.start()
+        theirs.close()
+        self.ready = False
+
+    def is_ready(self) -> bool:
+        """True once the helper has reported ready; never blocks."""
+        global _spawn_failed
+        if not self.ready and not self.conn.closed and self.conn.poll():
+            try:
+                self.ready = self.conn.recv()
+            except (EOFError, OSError):
+                _spawn_failed = True
+                self.stop()
+        return self.ready
+
+    def submit(self, cfg: ExperimentConfig, replications: range) -> None:
+        try:
+            self.conn.send((cfg, replications))
+        except OSError:
+            self.stop()
+
+    def result(self) -> Optional[list[int]]:
+        """The tally of the share last submitted, or None if the helper is gone."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            self.stop()
+            return None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def stop(self) -> None:
+        """End the helper whatever it is doing, without waiting for it, and reap it."""
+        self.ready = False
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
+        if self in _helpers:
+            _helpers.remove(self)
+
+
+def _start_helpers(count: int) -> list[_Helper]:
+    """The first count helpers, starting any missing; none is waited for."""
+    global _spawn_failed
+    import multiprocessing
+
+    # a daemonic process, such as a multiprocessing.Pool worker, may not have children
+    if multiprocessing.current_process().daemon:
+        return []
+    while len(_helpers) < count and not _spawn_failed:
+        try:
+            _helpers.append(_Helper(multiprocessing.get_context("spawn")))
+        except OSError:  # no process can be started: run serially from now on
+            _spawn_failed = True
+            break
+        # run before multiprocessing's own exit handler, registered on import
+        atexit.unregister(_stop_helpers)
+        atexit.register(_stop_helpers)
+    return _helpers[:count]
+
+
+def _stop_helpers() -> None:
+    """Stop and reap every helper, then the resource tracker that spawn
+    started, so that no process outlives this one."""
+    for helper in list(_helpers):
+        helper.stop()
+    from multiprocessing import active_children, resource_tracker
+
+    stop_tracker = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop_tracker is not None and not active_children():
+        stop_tracker()
+
+
+def _serve(conn) -> None:
+    """A helper's loop: tally each share it is sent until the pipe closes."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is for the parent to handle
+    conn.send(True)  # ready
+    while True:
+        try:
+            cfg, replications = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _stwj_share(cfg, replications)
+        except Exception as exc:  # raised again in the parent
+            reply = exc
+        conn.send(reply)

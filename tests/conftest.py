@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pairdom
 from pairdom.empirical import PairedSample
 from pairdom.oracle import DiscreteBivariate, survival_of_difference
 
@@ -64,3 +70,24 @@ def random_paired_sample(rng: np.random.Generator, n_max: int = 40) -> PairedSam
     x = rng.normal(0.0, 1.0, n)
     y = x * rng.uniform(0.2, 1.0) + rng.normal(0.2, 1.0, n)
     return PairedSample(x, y)
+
+
+SRC = str(Path(pairdom.__file__).resolve().parent.parent)
+
+
+def run_fresh(code: str, script: Path | None = None, timeout: float = 120) -> str:
+    """Run code in a fresh interpreter with pairdom importable; return stdout.
+
+    With script, the code is written to that file and run from it, as a
+    spawned helper process imports its parent's main file again.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if script is None:
+        argv = [sys.executable, "-c", code]
+    else:
+        script.write_text(code, encoding="utf-8")
+        argv = [sys.executable, str(script)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

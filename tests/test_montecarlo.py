@@ -1,9 +1,17 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
+
+from conftest import run_fresh
 
 from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams, Pareto, Weibull
@@ -329,8 +337,151 @@ class TestChunks:
             return derive_seed(*parts)
 
         monkeypatch.setattr(montecarlo, "derive_seed", counting)
-        run_rejection_experiment(small_config("C2", 20, 4, tests=tests))
+        # one worker: a helper process would derive its seeds out of sight
+        run_rejection_experiment(small_config("C2", 20, 4, tests=tests), workers=1)
         assert len(derived) == calls
+
+
+class TestWorkers:
+    @pytest.fixture
+    def helper_ready(self):
+        """Wait until a helper process has taken a share of an experiment."""
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one CPU: workers=2 is out of range")
+        deadline = time.monotonic() + 60
+        while run_rejection_experiment(small_config("C2", 20, 2), workers=2).workers < 2:
+            assert time.monotonic() < deadline, "no helper was ready after 60 s"
+            time.sleep(0.05)
+
+    # a mixed stwj+t+wilcoxon cell and an all-degenerate one
+    @pytest.mark.parametrize("cfg", [TestChunks.CONFIGS[0], TestChunks.CONFIGS[2]],
+                             ids=["mixed", "degenerate"])
+    def test_reports_do_not_depend_on_the_worker_count(self, helper_ready, tmp_path, cfg):
+        serial = run_rejection_experiment(cfg, workers=1)
+        parallel = run_rejection_experiment(cfg, workers=2)
+        assert (serial.workers, parallel.workers) == (1, 2)
+        assert parallel.rates == serial.rates
+        assert parallel.failures == serial.failures
+        assert parallel.to_csv_text() == serial.to_csv_text()
+        write_json(serial.to_json_dict(), tmp_path / "serial.json")
+        write_json(parallel.to_json_dict(), tmp_path / "parallel.json")
+        assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "parallel.json").read_bytes()
+
+    def test_a_helper_that_dies_has_its_share_run_here(self, helper_ready):
+        cfg = small_config("C2", 30, 12)
+        serial = run_rejection_experiment(cfg, workers=1)
+        assert serial.rate("stwj", 0.05) > 0.5  # a lost share would lower it
+        helper = montecarlo._helpers[0]
+        helper.process.kill()
+        helper.process.join(timeout=10)
+        assert not helper.process.is_alive()
+        report = run_rejection_experiment(cfg, workers=2)
+        assert helper not in montecarlo._helpers
+        assert report.to_csv_text() == serial.to_csv_text()
+
+    def test_calls_from_several_threads_get_their_own_counts(self, helper_ready):
+        # one call at a time deals to the helpers, the others run serially; C2
+        # rejects nearly always, so a reply that reached the wrong call would
+        # change its count
+        cfgs = [small_config("C2", 30, reps) for reps in range(6, 14)]
+        expected = [run_rejection_experiment(cfg, workers=1).to_csv_text() for cfg in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
+                futures = [pool.submit(run_rejection_experiment, cfg, workers=2)
+                           for cfg in cfgs * 3]
+                reports = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [report.to_csv_text() for report in reports] == expected * 3
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range_raise_before_anything_runs(self, monkeypatch, workers):
+        children = set(multiprocessing.active_children())
+        helpers = list(montecarlo._helpers)
+        monkeypatch.setattr(montecarlo, "generate_scenario", lambda *args: pytest.fail("ran a replication"))
+        with pytest.raises(ParameterError, match="workers must be between 1 and"):
+            run_rejection_experiment(small_config("C2", 20, 4), workers=workers)
+        assert set(multiprocessing.active_children()) == children
+        assert montecarlo._helpers == helpers
+
+
+PARALLEL_RUNS = """
+import multiprocessing
+import time
+from multiprocessing import resource_tracker
+
+from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario
+
+cfg = ExperimentConfig(scenario("C2"), n=20, replications=6, master_seed=1, n_sims=200)
+parallel = 0
+deadline = time.monotonic() + 60
+while parallel < 2 and time.monotonic() < deadline:
+    parallel += run_rejection_experiment(cfg, workers=2).workers == 2
+    time.sleep(0.02)
+print(parallel)
+print(*[p.pid for p in multiprocessing.active_children()], resource_tracker._resource_tracker._pid)
+"""
+
+# A helper imports its parent's main file again as __mp_main__; this one
+# sleeps there, so the helper is still starting when the parent exits.
+SLOW_HELPER = """
+import time
+
+if __name__ == "__mp_main__":
+    time.sleep(300)
+else:
+    import multiprocessing
+
+    from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario
+
+    cfg = ExperimentConfig(scenario("C2"), n=20, replications=6, master_seed=1, n_sims=200)
+    parallel = run_rejection_experiment(cfg, workers=2)
+    serial = run_rejection_experiment(cfg, workers=1)
+    print(parallel.workers, parallel.to_csv_text() == serial.to_csv_text())
+    from multiprocessing import resource_tracker
+
+    print(*[p.pid for p in multiprocessing.active_children()], resource_tracker._resource_tracker._pid)
+"""
+
+
+# A multiprocessing.Pool worker is daemonic and may not start a process.
+IN_A_POOL = """
+import multiprocessing
+
+from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario
+
+cfg = ExperimentConfig(scenario("C2"), n=20, replications=6, master_seed=1, n_sims=200)
+with multiprocessing.get_context("spawn").Pool(1) as pool:
+    report = pool.apply(run_rejection_experiment, (cfg,), {"workers": 2})
+print(report.workers, report.to_csv_text() == run_rejection_experiment(cfg, workers=1).to_csv_text())
+# the pool's spawn started a resource tracker: reap it too
+from multiprocessing import resource_tracker
+resource_tracker._resource_tracker._stop()
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or not Path("/proc/self").exists(),
+                    reason="needs two CPUs and /proc")
+class TestHelperLifetime:
+    def test_no_process_outlives_the_interpreter(self):
+        lines = run_fresh(PARALLEL_RUNS).splitlines()
+        assert lines[0] == "2"
+        pids = lines[1].split()
+        assert len(pids) == 2  # the helper and the resource tracker
+        assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
+
+    def test_a_pool_worker_runs_its_experiments_serially(self):
+        assert run_fresh(IN_A_POOL).split() == ["1", "True"]
+
+    def test_a_starting_helper_is_neither_waited_for_nor_left_running(self, tmp_path):
+        # the helper would take 300 s to start; the whole run must end within 120 s
+        lines = run_fresh(SLOW_HELPER, script=tmp_path / "slow_helper.py", timeout=120).splitlines()
+        assert lines[0] == "1 True"
+        pids = lines[1].split()
+        assert len(pids) == 2  # the helper and the resource tracker
+        assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
 
 
 def report_with_rate(rate: float, replications: int) -> RejectionReport:

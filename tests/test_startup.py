@@ -1,32 +1,18 @@
-"""Importing pairdom loads no part of scipy; the functions that need
-scipy.special load it on their first call."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Importing pairdom loads no part of scipy, and no process machinery;
+the functions that need scipy.special load it on their first call, and
+multiprocessing loads only when replications are shared with helpers."""
 
 import pytest
 
-import pairdom
+from conftest import run_fresh
 
-SRC = str(Path(pairdom.__file__).resolve().parent.parent)
 SCIPY_PARTS = ("scipy.stats", "scipy.special")
+PROCESS_PARTS = ("multiprocessing", "concurrent.futures")
 
 
-def run_fresh(code: str) -> str:
-    """Run code in a fresh interpreter with pairdom importable; return stdout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
-def loaded_after(code: str) -> set[str]:
+def loaded_after(code: str, parts=SCIPY_PARTS) -> set[str]:
     out = run_fresh(code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))")
-    return set(out.split()) & set(SCIPY_PARTS)
+    return set(out.split()) & set(parts)
 
 
 def test_import_loads_no_scipy():
@@ -43,6 +29,33 @@ def test_cli_test_command_loads_no_scipy(tmp_path):
     )
     assert loaded_after(code) == set()
     assert (tmp_path / "res.json").exists()
+
+
+def test_import_and_cli_test_load_no_process_machinery(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("x,y\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(60)) + "\n")
+    assert loaded_after("import pairdom", PROCESS_PARTS) == set()
+    code = (
+        "from pairdom.cli import main\n"
+        f"assert main(['test', '--input', {str(pairs)!r}, '--seed', '1',"
+        f" '--n-sims', '500', '--output', {str(tmp_path / 'res.json')!r}]) == 0"
+    )
+    assert loaded_after(code, PROCESS_PARTS) == set()
+
+
+def test_experiments_without_stwj_or_with_one_worker_load_no_process_machinery():
+    code = (
+        "import os\n"
+        "from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario\n"
+        "cfg = ExperimentConfig(scenario('C2'), n=20, replications=4, master_seed=1, n_sims=200,"
+        " tests=('stwj', 't'))\n"
+        "assert run_rejection_experiment(cfg, workers=1).workers == 1\n"
+        "baselines = ExperimentConfig(scenario('C5'), n=20, replications=4, master_seed=1,"
+        " tests=('t', 'wilcoxon'))\n"
+        "assert run_rejection_experiment(baselines, workers=os.cpu_count()).workers == 1"
+    )
+    # the baselines load scipy.special, which itself imports concurrent.futures
+    assert loaded_after(code, ("multiprocessing",)) == set()
 
 
 CALLS = [
