@@ -52,7 +52,7 @@ def _cmd_mc(args) -> int:
         levels=tuple(args.levels),
         tests=tuple(args.tests),
     )
-    report = montecarlo.run_rejection_experiment(cfg, workers=args.workers)
+    report = montecarlo.run_rejection_experiment(cfg)
     if args.output_csv:
         report.write_csv(args.output_csv)
     if args.output_json:
@@ -61,7 +61,7 @@ def _cmd_mc(args) -> int:
         sys.stdout.write(report.to_csv_text())
     print(
         f"{cfg.scenario.case_id} n={cfg.n} reps={cfg.replications} "
-        f"wall={report.wall_time:.1f}s workers={report.workers}",
+        f"wall={report.wall_time:.1f}s",
         file=sys.stderr,
     )
     return 0
@@ -153,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n-sims", type=int, default=montecarlo.ExperimentConfig.n_sims)
     p_mc.add_argument("--levels", type=_levels, default=montecarlo.ExperimentConfig.levels)
     p_mc.add_argument("--tests", type=_tests, default=montecarlo.ExperimentConfig.tests)
-    p_mc.add_argument("--workers", type=int,
-                      help="processes sharing the dominance test's replications; "
-                           "the CPUs this process may use if not given")
     p_mc.add_argument("--output-csv")
     p_mc.add_argument("--output-json")
     p_mc.set_defaults(func=_cmd_mc)

@@ -12,8 +12,8 @@ Clayton copula with theta = 0.5:
     C8  X ~ Weibull(0.5, 2)   Y ~ Weibull(0.9, 1.5)  (order fails)
 
 Each replication r of an experiment derives its own seeds from
-(master_seed, r), so results are independent of execution order, of the
-worker count and of any parallelism in the caller.
+(master_seed, r), so results are independent of execution order, of
+which process runs a replication and of any parallelism in the caller.
 
 Replications run in chunks. Per replication, the harness draws the
 sample with seed (master_seed, r, 0), runs the dominance test on it with
@@ -26,18 +26,16 @@ counted as failures. A chunk holds at most _CHUNK_BYTES of differences,
 and at least one row, so memory is bounded for any replications x n.
 Counting is commutative, so the report does not depend on the chunk size.
 
-The dominance test is nearly all of the cost, so its replications can be
-shared with helper processes (run_rejection_experiment's workers, by
-default one process per usable CPU). Helpers are started with "spawn"
-on the first call that wants them, kept for later calls, and stopped and
-reaped when the interpreter exits; a call never waits for one to start.
-Once ready, each takes every workers-th replication still to run and
-returns its rejection counts per level and its failure count, which are
-summed with this process's. The baselines, and cells without "stwj",
-stay in this process and never touch a helper. As with spawn-based
-multiprocessing in general, a script that runs experiments with
-workers > 1 needs an ``if __name__ == "__main__":`` guard, since each
-helper imports the main module again.
+The dominance test is nearly all of the cost, so its replications are
+shared with a helper process where this process may use two CPUs. The
+helper is a fresh interpreter running pairdom._helper, started on the
+first call that wants it and kept for later calls; it never imports the
+caller's main module, so scripts need no ``__main__`` guard. A call never
+waits for the helper to start. Once it is ready, it takes every other
+replication still to run and returns its rejection counts per level and
+its failure count, which are summed with this process's. The baselines,
+and cells without "stwj", stay in this process and never touch a helper.
+The helper is terminated and reaped when the interpreter exits.
 
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
@@ -57,6 +55,8 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import pickle
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -186,17 +186,15 @@ class RejectionReport:
     failure for that test and as a non-rejection in the rate; failures are
     reported separately, never silently dropped. interval() gives the 95%
     Wilson interval of a rate, which the JSON form carries as wilson95.
-    wall_time and workers (the processes that ran dominance tests) are
-    informative only and are excluded from the serialized forms, so
-    that identical configurations produce byte-identical artifacts
-    whatever the timing or the worker count.
+    wall_time is informative only and is excluded from the serialized
+    forms so that identical configurations produce byte-identical
+    artifacts.
     """
 
     config: ExperimentConfig
     rates: dict[tuple[str, float], float]
     failures: dict[str, int]
     wall_time: float = 0.0
-    workers: int = 1
 
     def rate(self, test: str, level: float) -> float:
         return self.rates[(test, level)]
@@ -262,26 +260,21 @@ def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
     return sample_clayton_bivariate(spec.theta, spec.marginal_x, spec.marginal_y, n, seed)
 
 
-def run_rejection_experiment(cfg: ExperimentConfig, *, workers: int | None = None) -> RejectionReport:
+def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
     """Run the replication loop and aggregate rejection rates.
 
     Replication r draws its sample with seed (master_seed, r, 0) and runs
     the dominance test with seed (master_seed, r, 1); the baselines run
     once per chunk of replications on the stacked differences.
     Aggregation is commutative counting, so any execution order, chunk
-    size and worker count give the same report.
+    size and sharing of replications with a helper give the same report.
 
-    workers is the number of processes that share the dominance test's
-    replications: None means the CPUs this process may run on, and 1
-    runs everything here. With more, and "stwj" among the tests, helper
-    processes are started on the first such call; once they are ready,
-    the replications still to run are dealt out in turn between this
-    process and them. The call never waits for a helper to start: until
-    one is ready it runs the replications itself. The baselines always
-    run here. workers below 1 or above os.cpu_count() raises
-    ParameterError before anything runs.
+    With "stwj" among the tests, the call starts the helper processes if
+    they are not running yet and never waits for them: until a helper is
+    ready, this process runs the replications itself; from then on, the
+    dominance tests still to run are dealt out in turn between this
+    process and the ready helpers. The baselines always run here.
     """
-    workers = _check_workers(workers)
     started = time.perf_counter()
     counts = {(test, level): 0 for test in cfg.tests for level in cfg.levels}
     failures = {test: 0 for test in cfg.tests}
@@ -290,7 +283,7 @@ def run_rejection_experiment(cfg: ExperimentConfig, *, workers: int | None = Non
     # the dominance-test tally of this process: rejections per level, then failures
     tally = [0] * (len(cfg.levels) + 1)
     # a call made while another thread deals to the helpers runs serially
-    dealing = stwj and workers > 1 and _helpers_lock.acquire(blocking=False)
+    dealing = stwj and _helpers_lock.acquire(blocking=False)
     waiting = []  # helpers that are still starting, or ready and not yet sent a share
     shares = []  # (helper, the replications sent to it)
     # from replication `split` on, this process tests every `step`-th one
@@ -298,7 +291,7 @@ def run_rejection_experiment(cfg: ExperimentConfig, *, workers: int | None = Non
     chunk = max(1, _CHUNK_BYTES // (8 * cfg.n))
     try:
         if dealing:
-            waiting = _start_helpers(workers - 1)
+            waiting = _start_helpers()
         for first in range(0, cfg.replications, chunk):
             last = min(first + chunk, cfg.replications)
             diffs = np.empty((last - first, cfg.n)) if baselines else None
@@ -329,7 +322,7 @@ def run_rejection_experiment(cfg: ExperimentConfig, *, workers: int | None = Non
                 share = _stwj_share(cfg, replications)
             tally = [a + b for a, b in zip(tally, share)]
     except BaseException:
-        for helper, _ in shares:
+        for helper, _ in shares:  # its reply would be read by a later call
             helper.stop()
         raise
     finally:
@@ -340,8 +333,7 @@ def run_rejection_experiment(cfg: ExperimentConfig, *, workers: int | None = Non
             counts[("stwj", level)] = tally[i]
         failures["stwj"] = tally[-1]
     rates = {key: counts[key] / cfg.replications for key in counts}
-    return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started,
-                           workers=1 + len(shares))
+    return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started)
 
 
 def _tally_stwj(cfg: ExperimentConfig, r: int, sample: PairedSample, tally: list[int]) -> None:
@@ -367,127 +359,118 @@ def _stwj_share(cfg: ExperimentConfig, replications: range) -> list[int]:
     return tally
 
 
-def _check_workers(workers: int | None) -> int:
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise ParameterError(f"workers must be between 1 and {cpus} (the CPU count), got {workers}")
-    return workers
+# Helper processes: each runs ``python -m pairdom._helper`` and exchanges
+# pickles with this process over its stdin and stdout. It imports pairdom
+# from where this process did, and never the caller's main module.
+# _WORKERS counts this process too; None means two where this process may
+# use two CPUs, since larger hosts have not been measured. A multiprocessing
+# child (a Pool or ProcessPoolExecutor worker) runs serially: its parent
+# already spreads the work. Helpers live as long as this process, and
+# _stop_helpers terminates and reaps them at exit, ready or still starting.
 
-
-# Helper processes. They are started with "spawn": fork is unsafe once
-# BLAS threads run, and a forkserver's server process outlives the
-# interpreter. A helper lives as long as this process and is stopped and
-# reaped at exit. multiprocessing is imported only on this path, so a
-# call with workers=1 or without "stwj" never loads it.
-
+_WORKERS: Optional[int] = None
+_HELPER_ARGS = ("-m", "pairdom._helper")  # the helper's interpreter arguments
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _helpers: list[_Helper] = []  # live helpers, oldest first
 _helpers_lock = threading.Lock()  # held by the call that deals replications to them
-# set when a helper exits before it is ready (say, the main module cannot be
-# imported again in a fresh process); no helper is started after that
-_spawn_failed = False
+# set when a helper exits before it is ready (say, pairdom cannot be
+# imported in a fresh interpreter); no helper is started after that
+_start_failed = False
 if hasattr(os, "register_at_fork"):  # a forked child must not share its parent's helpers
     os.register_at_fork(after_in_child=_helpers.clear)
 
 
-class _Helper:
-    """One helper process and this process's end of its pipe."""
+def _helper_count() -> int:
+    """The helpers this process should have."""
+    if _WORKERS is not None:
+        return _WORKERS - 1
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(2, cpus or 1) - 1
 
-    def __init__(self, context):
-        self.conn, theirs = context.Pipe()
-        self.process = context.Process(
-            target=_serve, args=(theirs,), name="pairdom-helper", daemon=True
+
+class _Helper:
+    """One helper process and this process's ends of its pipes."""
+
+    def __init__(self):
+        import subprocess
+
+        env = dict(os.environ)
+        # one BLAS thread: this process runs its own on the other CPU
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+        self.process = subprocess.Popen(
+            [sys.executable, *_HELPER_ARGS], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
         )
-        self.process.start()
-        theirs.close()
         self.ready = False
 
     def is_ready(self) -> bool:
         """True once the helper has reported ready; never blocks."""
-        global _spawn_failed
-        if not self.ready and not self.conn.closed and self.conn.poll():
-            try:
-                self.ready = self.conn.recv()
-            except (EOFError, OSError):
-                _spawn_failed = True
-                self.stop()
+        global _start_failed
+        import select
+
+        if not self.ready and self.process.returncode is None:
+            if select.select([self.process.stdout], [], [], 0)[0]:
+                self.ready = self._receive() is True
+                if not self.ready:
+                    _start_failed = True
+                    self.stop()
         return self.ready
 
     def submit(self, cfg: ExperimentConfig, replications: range) -> None:
         try:
-            self.conn.send((cfg, replications))
+            pickle.dump((cfg, replications), self.process.stdin, pickle.HIGHEST_PROTOCOL)
+            self.process.stdin.flush()
         except OSError:
             self.stop()
 
     def result(self) -> Optional[list[int]]:
         """The tally of the share last submitted, or None if the helper is gone."""
-        try:
-            reply = self.conn.recv()
-        except (EOFError, OSError):
-            self.stop()
-            return None
+        reply = self._receive()
         if isinstance(reply, BaseException):
             raise reply
+        if reply is None:
+            self.stop()
         return reply
+
+    def _receive(self):
+        """The next reply, or None if the helper has exited or was stopped."""
+        if self.process.returncode is not None:
+            return None
+        try:
+            return pickle.load(self.process.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            return None
 
     def stop(self) -> None:
         """End the helper whatever it is doing, without waiting for it, and reap it."""
         self.ready = False
-        self.conn.close()
         self.process.terminate()
-        self.process.join()
+        self.process.wait()
+        for pipe in (self.process.stdin, self.process.stdout):
+            try:
+                pipe.close()
+            except OSError:  # the helper had not read all it was sent
+                pass
         if self in _helpers:
             _helpers.remove(self)
 
 
-def _start_helpers(count: int) -> list[_Helper]:
-    """The first count helpers, starting any missing; none is waited for."""
-    global _spawn_failed
-    import multiprocessing
-
-    # a daemonic process, such as a multiprocessing.Pool worker, may not have children
-    if multiprocessing.current_process().daemon:
-        return []
-    while len(_helpers) < count and not _spawn_failed:
+def _start_helpers() -> list[_Helper]:
+    """This process's helpers, starting any missing; none is waited for."""
+    global _start_failed
+    count = _helper_count()
+    while len(_helpers) < count and not _start_failed:
         try:
-            _helpers.append(_Helper(multiprocessing.get_context("spawn")))
+            _helpers.append(_Helper())
         except OSError:  # no process can be started: run serially from now on
-            _spawn_failed = True
-            break
-        # run before multiprocessing's own exit handler, registered on import
-        atexit.unregister(_stop_helpers)
-        atexit.register(_stop_helpers)
+            _start_failed = True
     return _helpers[:count]
 
 
+@atexit.register
 def _stop_helpers() -> None:
-    """Stop and reap every helper, then the resource tracker that spawn
-    started, so that no process outlives this one."""
     for helper in list(_helpers):
         helper.stop()
-    from multiprocessing import active_children, resource_tracker
-
-    stop_tracker = getattr(resource_tracker._resource_tracker, "_stop", None)
-    if stop_tracker is not None and not active_children():
-        stop_tracker()
-
-
-def _serve(conn) -> None:
-    """A helper's loop: tally each share it is sent until the pipe closes."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is for the parent to handle
-    conn.send(True)  # ready
-    while True:
-        try:
-            cfg, replications = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = _stwj_share(cfg, replications)
-        except Exception as exc:  # raised again in the parent
-            reply = exc
-        conn.send(reply)

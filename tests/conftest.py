@@ -78,8 +78,8 @@ SRC = str(Path(pairdom.__file__).resolve().parent.parent)
 def run_fresh(code: str, script: Path | None = None, timeout: float = 120) -> str:
     """Run code in a fresh interpreter with pairdom importable; return stdout.
 
-    With script, the code is written to that file and run from it, as a
-    spawned helper process imports its parent's main file again.
+    With script, the code is written to that file and run from it as the
+    main module, whose path it can read from sys.argv[0].
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtr
 
 from conftest import random_discrete_bivariate, stwj_holds_dense_scan
-from pairdom import gptest
+from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams
 from pairdom.finance import (
     align,
@@ -74,10 +74,11 @@ def experiment_config(name: str) -> ExperimentConfig:
 
 @pytest.fixture(scope="session")
 def table_reports():
-    return {
-        name: run_rejection_experiment(experiment_config(name), workers=1)
-        for name in TABLE_CONFIGS
-    }
+    # every dominance test in this process; criterion 15 reruns the table
+    # sharing them with a helper process
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_WORKERS", 1)
+        return {name: run_rejection_experiment(experiment_config(name)) for name in TABLE_CONFIGS}
 
 
 @pytest.fixture(scope="session")
@@ -265,13 +266,13 @@ def test_criterion_14_portfolio_closure():
     assert ok
 
 
-def test_criterion_15_byte_identical_artifacts(table_reports, tmp_path):
+def test_criterion_15_byte_identical_artifacts(table_reports, tmp_path, monkeypatch):
     mismatches = []
     # the rerun shares the dominance tests with a helper process where there
     # are two CPUs; the fixture ran them all in this one
-    workers = min(2, os.cpu_count() or 1)
+    monkeypatch.setattr(montecarlo, "_WORKERS", min(2, os.cpu_count() or 1))
     for name in TABLE_CONFIGS:
-        rerun = run_rejection_experiment(experiment_config(name), workers=workers)
+        rerun = run_rejection_experiment(experiment_config(name))
         first_csv = table_reports[name].to_csv_text().encode()
         first_json_path = tmp_path / f"{name}_a.json"
         rerun_json_path = tmp_path / f"{name}_b.json"

@@ -373,27 +373,6 @@ class TestMcCommand:
             run(["mc", "--case", "C99", "--n", "20", "--seed", "1"])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
-    def test_workers_out_of_range_exit_2(self, capsys, workers):
-        import multiprocessing
-
-        children = set(multiprocessing.active_children())
-        assert run(["mc", "--case", "C2", "--n", "20", "--replications", "4",
-                    "--seed", "1", "--workers", str(workers)]) == 2
-        assert "workers must be between 1 and" in capsys.readouterr().err
-        assert set(multiprocessing.active_children()) == children
-
-    def test_reports_do_not_depend_on_workers(self, tmp_path):
-        args = ["mc", "--case", "C3", "--n", "30", "--replications", "12", "--n-sims", "500",
-                "--seed", "11", "--tests", "stwj,t,wilcoxon"]
-        outputs = []
-        for workers in sorted({1, min(2, os.cpu_count() or 1)}):
-            csv, js = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
-            assert run(args + ["--workers", str(workers), "--output-csv", str(csv),
-                               "--output-json", str(js)]) == 0
-            outputs.append((csv.read_bytes(), js.read_bytes()))
-        assert outputs[-1] == outputs[0]
-
 
 class TestPortfolioCommand:
     def test_fixture_pipeline(self, tmp_path, capsys):

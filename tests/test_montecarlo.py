@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -338,150 +337,193 @@ class TestChunks:
 
         monkeypatch.setattr(montecarlo, "derive_seed", counting)
         # one worker: a helper process would derive its seeds out of sight
-        run_rejection_experiment(small_config("C2", 20, 4, tests=tests), workers=1)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        run_rejection_experiment(small_config("C2", 20, 4, tests=tests))
         assert len(derived) == calls
 
 
-class TestWorkers:
+def local_tests(monkeypatch) -> list[int]:
+    """Record the replications whose dominance test runs in this process."""
+    tested = []
+
+    def recording(cfg, r, sample, tally, tally_fn=montecarlo._tally_stwj):
+        tested.append(r)
+        tally_fn(cfg, r, sample, tally)
+
+    monkeypatch.setattr(montecarlo, "_tally_stwj", recording)
+    return tested
+
+
+class TestHelpers:
     @pytest.fixture
-    def helper_ready(self):
-        """Wait until a helper process has taken a share of an experiment."""
-        if (os.cpu_count() or 1) < 2:
-            pytest.skip("one CPU: workers=2 is out of range")
+    def helper(self, monkeypatch):
+        """A ready helper process, for experiments made with two workers."""
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        run_rejection_experiment(small_config("C2", 20, 2))
         deadline = time.monotonic() + 60
-        while run_rejection_experiment(small_config("C2", 20, 2), workers=2).workers < 2:
+        while not montecarlo._helpers[0].is_ready():
             assert time.monotonic() < deadline, "no helper was ready after 60 s"
-            time.sleep(0.05)
+            time.sleep(0.02)
+        return montecarlo._helpers[0]
+
+    def serial(self, monkeypatch, cfg) -> RejectionReport:
+        with monkeypatch.context() as mp:
+            mp.setattr(montecarlo, "_WORKERS", 1)
+            return run_rejection_experiment(cfg)
 
     # a mixed stwj+t+wilcoxon cell and an all-degenerate one
     @pytest.mark.parametrize("cfg", [TestChunks.CONFIGS[0], TestChunks.CONFIGS[2]],
                              ids=["mixed", "degenerate"])
-    def test_reports_do_not_depend_on_the_worker_count(self, helper_ready, tmp_path, cfg):
-        serial = run_rejection_experiment(cfg, workers=1)
-        parallel = run_rejection_experiment(cfg, workers=2)
-        assert (serial.workers, parallel.workers) == (1, 2)
-        assert parallel.rates == serial.rates
-        assert parallel.failures == serial.failures
-        assert parallel.to_csv_text() == serial.to_csv_text()
+    def test_reports_do_not_depend_on_sharing(self, monkeypatch, helper, tmp_path, cfg):
+        serial = self.serial(monkeypatch, cfg)
+        tested_here = local_tests(monkeypatch)
+        shared = run_rejection_experiment(cfg)
+        assert tested_here == list(range(0, cfg.replications, 2))
+        assert shared.rates == serial.rates
+        assert shared.failures == serial.failures
+        assert shared.to_csv_text() == serial.to_csv_text()
         write_json(serial.to_json_dict(), tmp_path / "serial.json")
-        write_json(parallel.to_json_dict(), tmp_path / "parallel.json")
-        assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "parallel.json").read_bytes()
+        write_json(shared.to_json_dict(), tmp_path / "shared.json")
+        assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "shared.json").read_bytes()
 
-    def test_a_helper_that_dies_has_its_share_run_here(self, helper_ready):
+    def test_a_helper_that_dies_has_its_share_run_here(self, monkeypatch, helper):
         cfg = small_config("C2", 30, 12)
-        serial = run_rejection_experiment(cfg, workers=1)
+        serial = self.serial(monkeypatch, cfg)
         assert serial.rate("stwj", 0.05) > 0.5  # a lost share would lower it
-        helper = montecarlo._helpers[0]
         helper.process.kill()
-        helper.process.join(timeout=10)
-        assert not helper.process.is_alive()
-        report = run_rejection_experiment(cfg, workers=2)
+        helper.process.wait()
+        tested_here = local_tests(monkeypatch)
+        report = run_rejection_experiment(cfg)
         assert helper not in montecarlo._helpers
+        assert sorted(tested_here) == list(range(12))
         assert report.to_csv_text() == serial.to_csv_text()
 
-    def test_calls_from_several_threads_get_their_own_counts(self, helper_ready):
+    def test_calls_from_several_threads_get_their_own_counts(self, monkeypatch, helper):
         # one call at a time deals to the helpers, the others run serially; C2
         # rejects nearly always, so a reply that reached the wrong call would
         # change its count
         cfgs = [small_config("C2", 30, reps) for reps in range(6, 14)]
-        expected = [run_rejection_experiment(cfg, workers=1).to_csv_text() for cfg in cfgs]
+        expected = [self.serial(monkeypatch, cfg).to_csv_text() for cfg in cfgs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
-                futures = [pool.submit(run_rejection_experiment, cfg, workers=2)
-                           for cfg in cfgs * 3]
+                futures = [pool.submit(run_rejection_experiment, cfg) for cfg in cfgs * 3]
                 reports = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert [report.to_csv_text() for report in reports] == expected * 3
 
-    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
-    def test_workers_out_of_range_raise_before_anything_runs(self, monkeypatch, workers):
-        children = set(multiprocessing.active_children())
-        helpers = list(montecarlo._helpers)
-        monkeypatch.setattr(montecarlo, "generate_scenario", lambda *args: pytest.fail("ran a replication"))
-        with pytest.raises(ParameterError, match="workers must be between 1 and"):
-            run_rejection_experiment(small_config("C2", 20, 4), workers=workers)
-        assert set(multiprocessing.active_children()) == children
-        assert montecarlo._helpers == helpers
+    def test_cells_without_stwj_touch_no_helper(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_start_helpers", lambda: pytest.fail("started helpers"))
+        run_rejection_experiment(small_config("C5", 20, 4, tests=("t", "wilcoxon")))
+
+    def test_at_most_two_workers_by_default(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert montecarlo._helper_count() == 1
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        assert montecarlo._helper_count() == 0
+
+    @pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs /proc")
+    def test_a_helper_runs_one_blas_thread(self, helper):
+        environ = Path(f"/proc/{helper.process.pid}/environ").read_bytes().split(b"\0")
+        assert b"OPENBLAS_NUM_THREADS=1" in environ
 
 
-PARALLEL_RUNS = """
-import multiprocessing
+SHARED = """
 import time
-from multiprocessing import resource_tracker
 
-from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario
+from pairdom import montecarlo
 
-cfg = ExperimentConfig(scenario("C2"), n=20, replications=6, master_seed=1, n_sims=200)
-parallel = 0
+cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=6,
+                                  master_seed=1, n_sims=200)
+montecarlo._WORKERS = 2
+first = montecarlo.run_rejection_experiment(cfg)
 deadline = time.monotonic() + 60
-while parallel < 2 and time.monotonic() < deadline:
-    parallel += run_rejection_experiment(cfg, workers=2).workers == 2
+while not montecarlo._helpers[0].is_ready() and time.monotonic() < deadline:
     time.sleep(0.02)
-print(parallel)
-print(*[p.pid for p in multiprocessing.active_children()], resource_tracker._resource_tracker._pid)
+shared = [montecarlo.run_rejection_experiment(cfg) for _ in range(2)]
+print(montecarlo._helpers[0].is_ready(), {r.to_csv_text() for r in [first, *shared]} == {first.to_csv_text()})
+print(*[helper.process.pid for helper in montecarlo._helpers])
 """
 
-# A helper imports its parent's main file again as __mp_main__; this one
-# sleeps there, so the helper is still starting when the parent exits.
+# A script with no __main__ guard: a helper that ran it again would append
+# a second line to the file.
+NO_GUARD = """
+import sys
+
+with open(sys.argv[0] + ".runs", "a") as fh:
+    fh.write("run\\n")
+""" + SHARED
+
+# The helper's interpreter sleeps, so it is still starting when the parent exits.
 SLOW_HELPER = """
-import time
+from pairdom import montecarlo
 
-if __name__ == "__mp_main__":
-    time.sleep(300)
-else:
-    import multiprocessing
-
-    from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario
-
-    cfg = ExperimentConfig(scenario("C2"), n=20, replications=6, master_seed=1, n_sims=200)
-    parallel = run_rejection_experiment(cfg, workers=2)
-    serial = run_rejection_experiment(cfg, workers=1)
-    print(parallel.workers, parallel.to_csv_text() == serial.to_csv_text())
-    from multiprocessing import resource_tracker
-
-    print(*[p.pid for p in multiprocessing.active_children()], resource_tracker._resource_tracker._pid)
+cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=6,
+                                  master_seed=1, n_sims=200)
+montecarlo._HELPER_ARGS = ("-c", "import time; time.sleep(300)")
+montecarlo._WORKERS = 2
+shared = montecarlo.run_rejection_experiment(cfg)
+pids = [helper.process.pid for helper in montecarlo._helpers]
+montecarlo._WORKERS = 1
+print(shared.to_csv_text() == montecarlo.run_rejection_experiment(cfg).to_csv_text())
+print(*pids)
 """
 
-
-# A multiprocessing.Pool worker is daemonic and may not start a process.
+# A multiprocessing worker leaves the CPUs to its parent's other workers.
 IN_A_POOL = """
 import multiprocessing
 
-from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario
+from pairdom import montecarlo
 
-cfg = ExperimentConfig(scenario("C2"), n=20, replications=6, master_seed=1, n_sims=200)
-with multiprocessing.get_context("spawn").Pool(1) as pool:
-    report = pool.apply(run_rejection_experiment, (cfg,), {"workers": 2})
-print(report.workers, report.to_csv_text() == run_rejection_experiment(cfg, workers=1).to_csv_text())
-# the pool's spawn started a resource tracker: reap it too
-from multiprocessing import resource_tracker
-resource_tracker._resource_tracker._stop()
+
+def run(cfg):
+    return montecarlo.run_rejection_experiment(cfg).to_csv_text(), len(montecarlo._helpers)
+
+
+if __name__ == "__main__":
+    cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=6,
+                                      master_seed=1, n_sims=200)
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        csv, helpers = pool.apply(run, (cfg,))
+    montecarlo._WORKERS = 1
+    print(helpers, csv == montecarlo.run_rejection_experiment(cfg).to_csv_text())
+    # the pool's spawn started a resource tracker: reap it too
+    from multiprocessing import resource_tracker
+    resource_tracker._resource_tracker._stop()
 """
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2 or not Path("/proc/self").exists(),
-                    reason="needs two CPUs and /proc")
+def gone(pids: list[str]) -> bool:
+    return pids != [] and not any(Path(f"/proc/{pid}").exists() for pid in pids)
+
+
+@pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs /proc")
 class TestHelperLifetime:
-    def test_no_process_outlives_the_interpreter(self):
-        lines = run_fresh(PARALLEL_RUNS).splitlines()
-        assert lines[0] == "2"
-        pids = lines[1].split()
-        assert len(pids) == 2  # the helper and the resource tracker
-        assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
+    def test_no_helper_outlives_the_interpreter(self):
+        ready, pids = run_fresh(SHARED).splitlines()
+        assert ready == "True True"
+        assert gone(pids.split())
 
-    def test_a_pool_worker_runs_its_experiments_serially(self):
-        assert run_fresh(IN_A_POOL).split() == ["1", "True"]
+    def test_a_script_without_a_main_guard_runs_once(self, tmp_path):
+        script = tmp_path / "no_guard.py"
+        ready, pids = run_fresh(NO_GUARD, script=script).splitlines()
+        assert ready == "True True"
+        assert (tmp_path / "no_guard.py.runs").read_text() == "run\n"
+        assert gone(pids.split())
 
-    def test_a_starting_helper_is_neither_waited_for_nor_left_running(self, tmp_path):
-        # the helper would take 300 s to start; the whole run must end within 120 s
-        lines = run_fresh(SLOW_HELPER, script=tmp_path / "slow_helper.py", timeout=120).splitlines()
-        assert lines[0] == "1 True"
-        pids = lines[1].split()
-        assert len(pids) == 2  # the helper and the resource tracker
-        assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
+    def test_a_starting_helper_is_neither_waited_for_nor_left_running(self):
+        # the helper would take 300 s to start; the whole run must end within 60 s
+        same, pids = run_fresh(SLOW_HELPER, timeout=60).splitlines()
+        assert same == "True"
+        assert gone(pids.split())
+
+    def test_a_pool_worker_runs_its_experiments_serially(self, tmp_path):
+        out = run_fresh(IN_A_POOL, script=tmp_path / "in_a_pool.py")
+        assert out.split() == ["0", "True"]
 
 
 def report_with_rate(rate: float, replications: int) -> RejectionReport:

@@ -1,6 +1,6 @@
-"""Importing pairdom loads no part of scipy, and no process machinery;
-the functions that need scipy.special load it on their first call, and
-multiprocessing loads only when replications are shared with helpers."""
+"""Importing pairdom loads no part of scipy and no process machinery; the
+functions that need scipy.special load it on their first call, and no
+call loads multiprocessing."""
 
 import pytest
 
@@ -43,16 +43,12 @@ def test_import_and_cli_test_load_no_process_machinery(tmp_path):
     assert loaded_after(code, PROCESS_PARTS) == set()
 
 
-def test_experiments_without_stwj_or_with_one_worker_load_no_process_machinery():
+def test_experiments_load_no_multiprocessing():
     code = (
-        "import os\n"
-        "from pairdom.montecarlo import ExperimentConfig, run_rejection_experiment, scenario\n"
-        "cfg = ExperimentConfig(scenario('C2'), n=20, replications=4, master_seed=1, n_sims=200,"
-        " tests=('stwj', 't'))\n"
-        "assert run_rejection_experiment(cfg, workers=1).workers == 1\n"
-        "baselines = ExperimentConfig(scenario('C5'), n=20, replications=4, master_seed=1,"
-        " tests=('t', 'wilcoxon'))\n"
-        "assert run_rejection_experiment(baselines, workers=os.cpu_count()).workers == 1"
+        "from pairdom import montecarlo\n"
+        "cfg = montecarlo.ExperimentConfig(montecarlo.scenario('C2'), n=20, replications=4,"
+        " master_seed=1, n_sims=200, tests=('stwj', 't'))\n"
+        "montecarlo.run_rejection_experiment(cfg)"
     )
     # the baselines load scipy.special, which itself imports concurrent.futures
     assert loaded_after(code, ("multiprocessing",)) == set()
