@@ -1,6 +1,5 @@
 """Importing pairdom loads no part of scipy and no process machinery; the
-functions that need scipy.special load it on their first call, and no
-call loads multiprocessing."""
+functions that need scipy.special load it on their first call."""
 
 import pytest
 
@@ -41,17 +40,6 @@ def test_import_and_cli_test_load_no_process_machinery(tmp_path):
         f" '--n-sims', '500', '--output', {str(tmp_path / 'res.json')!r}]) == 0"
     )
     assert loaded_after(code, PROCESS_PARTS) == set()
-
-
-def test_experiments_load_no_multiprocessing():
-    code = (
-        "from pairdom import montecarlo\n"
-        "cfg = montecarlo.ExperimentConfig(montecarlo.scenario('C2'), n=20, replications=4,"
-        " master_seed=1, n_sims=200, tests=('stwj', 't'))\n"
-        "montecarlo.run_rejection_experiment(cfg)"
-    )
-    # the baselines load scipy.special, which itself imports concurrent.futures
-    assert loaded_after(code, ("multiprocessing",)) == set()
 
 
 CALLS = [
