@@ -28,14 +28,15 @@ Counting is commutative, so the report does not depend on the chunk size.
 
 The dominance test is nearly all of the cost, so its replications are
 shared with a helper process where this process may use two CPUs. The
-helper is a fresh interpreter running pairdom._helper, started on the
-first call that wants it and kept for later calls; it never imports the
-caller's main module, so scripts need no ``__main__`` guard. A call never
-waits for the helper to start. Once it is ready, it takes every other
-replication still to run and returns its rejection counts per level and
-its failure count, which are summed with this process's. The baselines,
-and cells without "stwj", stay in this process and never touch a helper.
-The helper is terminated and reaped when the interpreter exits.
+helper is a fresh interpreter running _serve() below with this process's
+import path, started on the first call that wants it and kept for later
+calls; it never imports the caller's main module, so scripts need no
+``__main__`` guard. A call never waits for the helper to start. Once it
+is ready, it takes every other replication still to run and returns its
+rejection counts per level and its failure count, which are summed with
+this process's. The baselines, and cells without "stwj", stay in this
+process and never touch the helper. The helper is terminated and reaped
+when the interpreter exits.
 
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
@@ -269,11 +270,11 @@ def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
     Aggregation is commutative counting, so any execution order, chunk
     size and sharing of replications with a helper give the same report.
 
-    With "stwj" among the tests, the call starts the helper processes if
-    they are not running yet and never waits for them: until a helper is
-    ready, this process runs the replications itself; from then on, the
-    dominance tests still to run are dealt out in turn between this
-    process and the ready helpers. The baselines always run here.
+    With "stwj" among the tests, the call starts the helper process if it
+    is not running yet and never waits for it: until the helper is ready,
+    this process runs the replications itself; from the replication at
+    which it is ready, the helper takes every other dominance test still
+    to run. The baselines always run here.
     """
     started = time.perf_counter()
     counts = {(test, level): 0 for test in cfg.tests for level in cfg.levels}
@@ -282,28 +283,22 @@ def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
     baselines = [test for test in cfg.tests if test != "stwj"]
     # the dominance-test tally of this process: rejections per level, then failures
     tally = [0] * (len(cfg.levels) + 1)
-    # a call made while another thread deals to the helpers runs serially
-    dealing = stwj and _helpers_lock.acquire(blocking=False)
-    waiting = []  # helpers that are still starting, or ready and not yet sent a share
-    shares = []  # (helper, the replications sent to it)
-    # from replication `split` on, this process tests every `step`-th one
-    split, step = cfg.replications, 1
+    # a call made while another thread shares with the helper runs serially
+    sharing = stwj and _helper_lock.acquire(blocking=False)
+    share = None  # the replications sent to the helper
+    # from replication `split` on, this process tests every other one
+    split = cfg.replications
     chunk = max(1, _CHUNK_BYTES // (8 * cfg.n))
     try:
-        if dealing:
-            waiting = _start_helpers()
+        helper = _start_helper() if sharing else None
         for first in range(0, cfg.replications, chunk):
             last = min(first + chunk, cfg.replications)
             diffs = np.empty((last - first, cfg.n)) if baselines else None
             for r in range(first, last):
-                ready = [helper for helper in waiting if helper.is_ready()]
-                if ready:
-                    split, step = r, len(ready) + 1
-                    for i, helper in enumerate(ready, 1):
-                        shares.append((helper, range(r + i, cfg.replications, step)))
-                        helper.submit(cfg, shares[-1][1])
-                    waiting = []
-                mine = stwj and (r < split or (r - split) % step == 0)
+                if helper is not None and share is None and helper.is_ready():
+                    split, share = r, range(r + 1, cfg.replications, 2)
+                    helper.submit(cfg, share)
+                mine = stwj and (r < split or (r - split) % 2 == 0)
                 if diffs is None and not mine:
                     continue
                 sample = generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
@@ -316,18 +311,18 @@ def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
                 failures[test] += int(np.count_nonzero(rows.failed))
                 for level in cfg.levels:
                     counts[(test, level)] += int(np.count_nonzero(~rows.failed & (rows.p_value < level)))
-        for helper, replications in shares:
-            share = helper.result()
-            if share is None:  # the helper is gone: run its share here
-                share = _stwj_share(cfg, replications)
-            tally = [a + b for a, b in zip(tally, share)]
+        if share is not None:
+            shared = helper.result()
+            if shared is None:  # the helper is gone: run its share here
+                shared = _stwj_share(cfg, share)
+            tally = [a + b for a, b in zip(tally, shared)]
     except BaseException:
-        for helper, _ in shares:  # its reply would be read by a later call
+        if share is not None:  # its reply would be read by a later call
             helper.stop()
         raise
     finally:
-        if dealing:
-            _helpers_lock.release()
+        if sharing:
+            _helper_lock.release()
     if stwj:
         for i, level in enumerate(cfg.levels):
             counts[("stwj", level)] = tally[i]
@@ -359,40 +354,53 @@ def _stwj_share(cfg: ExperimentConfig, replications: range) -> list[int]:
     return tally
 
 
-# Helper processes: each runs ``python -m pairdom._helper`` and exchanges
-# pickles with this process over its stdin and stdout. It imports pairdom
-# from where this process did, and never the caller's main module.
-# _WORKERS counts this process too; None means two where this process may
-# use two CPUs, since larger hosts have not been measured. A multiprocessing
-# child (a Pool or ProcessPoolExecutor worker) runs serially: its parent
-# already spreads the work. Helpers live as long as this process, and
-# _stop_helpers terminates and reaps them at exit, ready or still starting.
+# The helper process: a fresh interpreter that runs _serve() and exchanges
+# pickles with this process over its stdin and stdout. Its sys.path is this
+# process's, passed as arguments, so it imports pairdom and numpy from
+# where this process did, never from its working directory, and it never
+# imports the caller's main module. _WORKERS counts this process too: 1
+# runs every replication here, 2 shares them with the helper, and None
+# means 2 where this process may use two CPUs or more. Two processes is
+# the only size measured, so there is never more than one helper. A
+# multiprocessing child (a Pool or ProcessPoolExecutor worker) runs
+# serially: its parent already spreads the work. The helper lives as long
+# as this process, and _stop_helper terminates and reaps it at exit,
+# ready or still starting.
 
 _WORKERS: Optional[int] = None
-_HELPER_ARGS = ("-m", "pairdom._helper")  # the helper's interpreter arguments
-_SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_helpers: list[_Helper] = []  # live helpers, oldest first
-_helpers_lock = threading.Lock()  # held by the call that deals replications to them
-# set when a helper exits before it is ready (say, pairdom cannot be
+# the helper's interpreter arguments; this process's sys.path follows them
+_HELPER_ARGS = (
+    "-c", "import sys; sys.path[:] = sys.argv[1:]; from pairdom.montecarlo import _serve; _serve()"
+)
+_helper: Optional[_Helper] = None  # the live helper
+_helper_lock = threading.Lock()  # held by the call that shares replications with it
+# set when the helper exits before it is ready (say, pairdom cannot be
 # imported in a fresh interpreter); no helper is started after that
 _start_failed = False
-if hasattr(os, "register_at_fork"):  # a forked child must not share its parent's helpers
-    os.register_at_fork(after_in_child=_helpers.clear)
 
 
-def _helper_count() -> int:
-    """The helpers this process should have."""
+def _forget_helper() -> None:
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child must not share its parent's helper
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _wants_helper() -> bool:
+    """Whether this process shares its replications with a helper."""
     if _WORKERS is not None:
-        return _WORKERS - 1
+        return _WORKERS == 2
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.parent_process() is not None:
-        return 0
+        return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(2, cpus or 1) - 1
+    return (cpus or 1) >= 2
 
 
 class _Helper:
-    """One helper process and this process's ends of its pipes."""
+    """The helper process and this process's ends of its pipes."""
 
     def __init__(self):
         import subprocess
@@ -400,9 +408,9 @@ class _Helper:
         env = dict(os.environ)
         # one BLAS thread: this process runs its own on the other CPU
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
         self.process = subprocess.Popen(
-            [sys.executable, *_HELPER_ARGS], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
+            [sys.executable, *_HELPER_ARGS, *sys.path],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
         )
         self.ready = False
 
@@ -445,7 +453,7 @@ class _Helper:
             return None
 
     def stop(self) -> None:
-        """End the helper whatever it is doing, without waiting for it, and reap it."""
+        """Terminate the helper whatever it is doing, and wait to reap it."""
         self.ready = False
         self.process.terminate()
         self.process.wait()
@@ -454,23 +462,48 @@ class _Helper:
                 pipe.close()
             except OSError:  # the helper had not read all it was sent
                 pass
-        if self in _helpers:
-            _helpers.remove(self)
+        if _helper is self:
+            _forget_helper()
 
 
-def _start_helpers() -> list[_Helper]:
-    """This process's helpers, starting any missing; none is waited for."""
-    global _start_failed
-    count = _helper_count()
-    while len(_helpers) < count and not _start_failed:
+def _start_helper() -> Optional[_Helper]:
+    """This process's helper, started if missing and not waited for, or None
+    where this process runs every replication itself."""
+    global _helper, _start_failed
+    if not _wants_helper():
+        return None
+    if _helper is None and not _start_failed:
         try:
-            _helpers.append(_Helper())
+            _helper = _Helper()
         except OSError:  # no process can be started: run serially from now on
             _start_failed = True
-    return _helpers[:count]
+    return _helper
 
 
 @atexit.register
-def _stop_helpers() -> None:
-    for helper in list(_helpers):
-        helper.stop()
+def _stop_helper() -> None:
+    if _helper is not None:
+        _helper.stop()
+
+
+def _serve() -> None:
+    """The helper's loop: it replies True once ready, then to each pickled
+    (ExperimentConfig, replications) share with its dominance-test tally or
+    the exception it raised, until stdin closes."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is for the parent to handle
+    requests, replies = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr  # a stray print must not reach the pipe
+    reply = True  # ready
+    while True:
+        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+        try:
+            cfg, replications = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = _stwj_share(cfg, replications)
+        except Exception as exc:  # raised again in the parent
+            reply = exc

@@ -75,11 +75,13 @@ def random_paired_sample(rng: np.random.Generator, n_max: int = 40) -> PairedSam
 SRC = str(Path(pairdom.__file__).resolve().parent.parent)
 
 
-def run_fresh(code: str, script: Path | None = None, timeout: float = 120) -> str:
+def run_fresh(code: str, script: Path | None = None, timeout: float = 120,
+              cwd: Path | None = None) -> str:
     """Run code in a fresh interpreter with pairdom importable; return stdout.
 
     With script, the code is written to that file and run from it as the
-    main module, whose path it can read from sys.argv[0].
+    main module, whose path it can read from sys.argv[0]. With cwd, the
+    interpreter runs in that directory.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -88,6 +90,6 @@ def run_fresh(code: str, script: Path | None = None, timeout: float = 120) -> st
     else:
         script.write_text(code, encoding="utf-8")
         argv = [sys.executable, str(script)]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout

@@ -354,17 +354,35 @@ def local_tests(monkeypatch) -> list[int]:
     return tested
 
 
+# The helper's interpreter arguments for a helper whose every share raises.
+RAISING_HELPER = (
+    "-c",
+    "import sys\n"
+    "sys.path[:] = sys.argv[1:]\n"
+    "from pairdom import montecarlo\n"
+    "def share(cfg, replications):\n"
+    "    raise ArithmeticError('no share today')\n"
+    "montecarlo._stwj_share = share\n"
+    "montecarlo._serve()\n",
+)
+
+
 class TestHelpers:
+    @staticmethod
+    def ready_helper():
+        """Start the helper, if it is not running, and wait until it is ready."""
+        run_rejection_experiment(small_config("C2", 20, 2))
+        deadline = time.monotonic() + 60
+        while not montecarlo._helper.is_ready():
+            assert time.monotonic() < deadline, "no helper was ready after 60 s"
+            time.sleep(0.02)
+        return montecarlo._helper
+
     @pytest.fixture
     def helper(self, monkeypatch):
         """A ready helper process, for experiments made with two workers."""
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-        run_rejection_experiment(small_config("C2", 20, 2))
-        deadline = time.monotonic() + 60
-        while not montecarlo._helpers[0].is_ready():
-            assert time.monotonic() < deadline, "no helper was ready after 60 s"
-            time.sleep(0.02)
-        return montecarlo._helpers[0]
+        return self.ready_helper()
 
     def serial(self, monkeypatch, cfg) -> RejectionReport:
         with monkeypatch.context() as mp:
@@ -394,7 +412,7 @@ class TestHelpers:
         helper.process.wait()
         tested_here = local_tests(monkeypatch)
         report = run_rejection_experiment(cfg)
-        assert helper not in montecarlo._helpers
+        assert montecarlo._helper is not helper
         assert sorted(tested_here) == list(range(12))
         assert report.to_csv_text() == serial.to_csv_text()
 
@@ -414,17 +432,44 @@ class TestHelpers:
             sys.setswitchinterval(interval)
         assert [report.to_csv_text() for report in reports] == expected * 3
 
+    def test_a_share_that_raises_is_raised_here_and_stops_the_helper(self, monkeypatch):
+        cfg = small_config("C2", 30, 12)
+        serial = self.serial(monkeypatch, cfg)
+        montecarlo._stop_helper()  # so that the next helper is a raising one
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        with monkeypatch.context() as mp:
+            mp.setattr(montecarlo, "_HELPER_ARGS", RAISING_HELPER)
+            helper = self.ready_helper()
+            with pytest.raises(ArithmeticError, match="no share today"):
+                run_rejection_experiment(cfg)
+        assert helper.process.returncode is not None  # stopped and reaped
+        assert montecarlo._helper is None
+        assert run_rejection_experiment(cfg).to_csv_text() == serial.to_csv_text()
+
     def test_cells_without_stwj_touch_no_helper(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_start_helpers", lambda: pytest.fail("started helpers"))
+        monkeypatch.setattr(montecarlo, "_start_helper", lambda: pytest.fail("started a helper"))
         run_rejection_experiment(small_config("C5", 20, 4, tests=("t", "wilcoxon")))
 
     def test_at_most_two_workers_by_default(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert montecarlo._helper_count() == 1
+        started = []
+        monkeypatch.setattr(montecarlo, "_Helper", lambda: started.append(object()) or started[-1])
+        monkeypatch.setattr(montecarlo, "_helper", None)
+        monkeypatch.setattr(montecarlo, "_start_failed", False)
+        assert montecarlo._wants_helper()
+        assert montecarlo._start_helper() is montecarlo._start_helper() is started[0]
+        assert len(started) == 1
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-        assert montecarlo._helper_count() == 0
+        assert not montecarlo._wants_helper()
+        assert montecarlo._start_helper() is None
+
+    def test_one_usable_cpu_starts_no_helper(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert not montecarlo._wants_helper()
 
     @pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs /proc")
     def test_a_helper_runs_one_blas_thread(self, helper):
@@ -442,11 +487,11 @@ cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=
 montecarlo._WORKERS = 2
 first = montecarlo.run_rejection_experiment(cfg)
 deadline = time.monotonic() + 60
-while not montecarlo._helpers[0].is_ready() and time.monotonic() < deadline:
+while not montecarlo._helper.is_ready() and time.monotonic() < deadline:
     time.sleep(0.02)
 shared = [montecarlo.run_rejection_experiment(cfg) for _ in range(2)]
-print(montecarlo._helpers[0].is_ready(), {r.to_csv_text() for r in [first, *shared]} == {first.to_csv_text()})
-print(*[helper.process.pid for helper in montecarlo._helpers])
+print(montecarlo._helper.is_ready(), {r.to_csv_text() for r in [first, *shared]} == {first.to_csv_text()})
+print(montecarlo._helper.process.pid)
 """
 
 # A script with no __main__ guard: a helper that ran it again would append
@@ -467,7 +512,7 @@ cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=
 montecarlo._HELPER_ARGS = ("-c", "import time; time.sleep(300)")
 montecarlo._WORKERS = 2
 shared = montecarlo.run_rejection_experiment(cfg)
-pids = [helper.process.pid for helper in montecarlo._helpers]
+pids = [montecarlo._helper.process.pid]
 montecarlo._WORKERS = 1
 print(shared.to_csv_text() == montecarlo.run_rejection_experiment(cfg).to_csv_text())
 print(*pids)
@@ -481,16 +526,16 @@ from pairdom import montecarlo
 
 
 def run(cfg):
-    return montecarlo.run_rejection_experiment(cfg).to_csv_text(), len(montecarlo._helpers)
+    return montecarlo.run_rejection_experiment(cfg).to_csv_text(), montecarlo._helper is None
 
 
 if __name__ == "__main__":
     cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=6,
                                       master_seed=1, n_sims=200)
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        csv, helpers = pool.apply(run, (cfg,))
+        csv, no_helper = pool.apply(run, (cfg,))
     montecarlo._WORKERS = 1
-    print(helpers, csv == montecarlo.run_rejection_experiment(cfg).to_csv_text())
+    print(no_helper, csv == montecarlo.run_rejection_experiment(cfg).to_csv_text())
     # the pool's spawn started a resource tracker: reap it too
     from multiprocessing import resource_tracker
     resource_tracker._resource_tracker._stop()
@@ -515,6 +560,17 @@ class TestHelperLifetime:
         assert (tmp_path / "no_guard.py.runs").read_text() == "run\n"
         assert gone(pids.split())
 
+    def test_the_helper_imports_from_the_callers_path_not_its_directory(self, tmp_path):
+        # a module in the working directory that the caller, run by its
+        # script's path, never sees; a helper that imported it would die
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "cwd" / "numpy.py").write_text("raise ImportError('not this numpy')\n")
+        (tmp_path / "script").mkdir()
+        script = tmp_path / "script" / "shared.py"
+        ready, pids = run_fresh(SHARED, script=script, cwd=tmp_path / "cwd").splitlines()
+        assert ready == "True True"
+        assert gone(pids.split())
+
     def test_a_starting_helper_is_neither_waited_for_nor_left_running(self):
         # the helper would take 300 s to start; the whole run must end within 60 s
         same, pids = run_fresh(SLOW_HELPER, timeout=60).splitlines()
@@ -523,7 +579,7 @@ class TestHelperLifetime:
 
     def test_a_pool_worker_runs_its_experiments_serially(self, tmp_path):
         out = run_fresh(IN_A_POOL, script=tmp_path / "in_a_pool.py")
-        assert out.split() == ["0", "True"]
+        assert out.split() == ["True", "True"]
 
 
 def report_with_rate(rate: float, replications: int) -> RejectionReport:

@@ -6,7 +6,7 @@ import pytest
 from conftest import run_fresh
 
 SCIPY_PARTS = ("scipy.stats", "scipy.special")
-PROCESS_PARTS = ("multiprocessing", "concurrent.futures")
+PROCESS_PARTS = ("multiprocessing", "concurrent.futures", "subprocess")
 
 
 def loaded_after(code: str, parts=SCIPY_PARTS) -> set[str]:
