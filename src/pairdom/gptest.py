@@ -36,11 +36,25 @@ build_grid grid is one), and the statistic is 0 whenever Fbar <= Gbar on
 the candidate set, so ties happen, and only at statistic 0. A dense draw
 with a vanishing regularization puts that zero-variance point above 0 in
 half the draws; counting ties one half keeps p1 where such a draw puts it.
+
+Segments. The n_sims draws fall into segments of 2048 draws, and segment j
+draws from make_rng(seed, jump=j): segment 0 is the seed's own stream and
+segment j > 0 its PCG64 state jumped j times. A segment's draws depend on
+neither the thread that makes them nor the blocks they come in, so p1
+depends only on (covariance, statistic, n_sims, seed). A run without an
+early stop (stop_at >= 1) that draws at least 2**18 normals in two
+segments or more shares its segments between the calling thread and one
+more, where this process may use two CPUs; the normals, which are most of
+the cost, are then drawn on both.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,12 +210,47 @@ def build_covariance(g: Grid, s: PairedSample) -> GpCovariance:
     return GpCovariance(cell=cell, r=r, q=q, n_points=len(g.points))
 
 
-_SIM_CHUNK = 1 << 16
-# bytes of normals in one block: 65 536 draws up to dim 128, fewer beyond;
-# also the bound on the k+1 points of an equally spaced grid
+_SEGMENT = 2048  # draws per substream
+# bytes of normals in flight: one block of a segment, two when two
+# threads draw; also the bound on the k+1 points of an equally spaced grid
 _BLOCK_BYTES = 64 << 20
 _FIRST_BLOCK = 256
 _BLOCK_GROWTH = 4
+# fewest normals (n_sims * dim) worth a second thread: below it, starting
+# and joining the thread costs more than it saves
+_THREAD_NORMALS = 1 << 18
+
+
+def _two_cpus() -> bool:
+    """Whether this process may compute on two CPUs or more.
+
+    Not in a multiprocessing child (a Pool or ProcessPoolExecutor worker),
+    whose parent already spreads the work; otherwise when at least two CPUs
+    are usable."""
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+def _draw(rng, size, stat, sqrt_r, w, shift, first, floor, *,
+          lock=contextlib.nullcontext()) -> tuple[int, int]:
+    """Draw size null paths from rng: how many maxima exceed stat, and how
+    many equal it. Everything but the normals runs under lock."""
+    z = rng.standard_normal((size, len(sqrt_r)))
+    with lock:
+        proj = z @ w
+        z *= sqrt_r
+        path = np.zeros(size)
+        peak = np.full(size, floor)
+        value = np.empty(size)
+        for i in range(len(sqrt_r) - 1, first - 1, -1):
+            path += z[:, i]
+            np.multiply(proj, shift[i], out=value)
+            np.subtract(path, value, out=value)
+            np.maximum(peak, value, out=peak)
+        return int(np.count_nonzero(peak > stat)), int(np.count_nonzero(peak == stat))
 
 
 def pvalue_bounds(
@@ -218,16 +267,25 @@ def pvalue_bounds(
     each, and returns the fraction whose maximum exceeds stat, counting a
     maximum equal to stat one half.
 
-    Draws come in blocks that start at 256 draws and grow by a factor of
-    4 up to 65 536 draws and 64 MiB of normals, so memory stays bounded
-    whatever c.dim is; the blocks do not change the stream.
+    The draws fall into segments of 2048; segment j draws from
+    make_rng(seed, jump=j). Within a segment, draws come in blocks that
+    start at 256 draws and grow by a factor of 4 up to the segment and
+    64 MiB of normals, so memory stays bounded whatever c.dim is; within
+    a segment the blocks do not change the stream.
 
     After each block the run returns the running mid-p count over n_sims
-    once that reaches stop_at. The count only grows, so the value is a
-    lower bound on p1 and both are >= every level <= stop_at: neither
-    rejects there. A run that does not stop returns p1 bit for bit, and
-    the default 1.0 is reached only by the last draw, if at all. This is
-    the exact sequential Monte Carlo p-value of Besag & Clifford (1991).
+    once that reaches stop_at, walking the segments in order. The count
+    only grows, so the value is a lower bound on p1 and both are >= every
+    level <= stop_at: neither rejects there. A run that does not stop
+    returns p1 bit for bit, and the default 1.0 is reached only by the
+    last draw, if at all. This is the exact sequential Monte Carlo
+    p-value of Besag & Clifford (1991).
+
+    With stop_at >= 1 every draw is made, so where this process may use
+    two CPUs and at least 2**18 normals in two segments or more are due,
+    the calling thread and one more share the segments, each with blocks
+    of at most 32 MiB. The counts, and so p1, are the same as from one
+    thread.
     """
     if not np.isfinite(stat):
         raise ParameterError(f"statistic must be finite, got {stat}")
@@ -246,32 +304,84 @@ def pvalue_bounds(
     first = int(c.dim > 0 and c.r.sum() - c.q.sum() ** 2 < 1e-12)
     # W = 0 at grid points past every cell, so the maximum is at least 0
     floor = 0.0 if first or c.dim == 0 or c.cell[-1] < c.n_points else -np.inf
-    rng = make_rng(seed)
+    law = (stat, sqrt_r, w, shift, first, floor)
+    # draws whose normals fill the block budget, at least one
+    budget = max(1, _BLOCK_BYTES // (8 * max(1, c.dim)))
+    if (stop_at >= 1.0 and n_sims > _SEGMENT and n_sims * c.dim >= _THREAD_NORMALS
+            and _two_cpus()):
+        exceed, ties = _count_on_two_threads(seed, n_sims, min(_SEGMENT, max(1, budget // 2)), law)
+        return (exceed + 0.5 * ties) / n_sims
     exceed = 0
     ties = 0
     drawn = 0
-    max_block = min(_SIM_CHUNK, max(1, _BLOCK_BYTES // (8 * max(1, c.dim))))
+    max_block = min(_SEGMENT, budget)
     block = min(_FIRST_BLOCK, max_block)
-    while drawn < n_sims:
-        size = min(block, n_sims - drawn)
-        z = rng.standard_normal((size, c.dim))
-        proj = z @ w
-        z *= sqrt_r
-        path = np.zeros(size)
-        peak = np.full(size, floor)
-        value = np.empty(size)
-        for i in range(c.dim - 1, first - 1, -1):
-            path += z[:, i]
-            np.multiply(proj, shift[i], out=value)
-            np.subtract(path, value, out=value)
-            np.maximum(peak, value, out=peak)
-        exceed += int(np.count_nonzero(peak > stat))
-        ties += int(np.count_nonzero(peak == stat))
-        drawn += size
-        if (exceed + 0.5 * ties) / n_sims >= stop_at:
-            break
-        block = min(block * _BLOCK_GROWTH, max_block)
+    for j in range(-(-n_sims // _SEGMENT)):
+        rng = make_rng(seed, jump=j)
+        end = min(drawn + _SEGMENT, n_sims)
+        while drawn < end:
+            size = min(block, end - drawn)
+            more, tied = _draw(rng, size, *law)
+            exceed += more
+            ties += tied
+            drawn += size
+            if (exceed + 0.5 * ties) / n_sims >= stop_at:
+                return (exceed + 0.5 * ties) / n_sims
+            block = min(block * _BLOCK_GROWTH, max_block)
     return (exceed + 0.5 * ties) / n_sims
+
+
+def _count_on_two_threads(seed: int, n_sims: int, block: int, law: tuple) -> tuple[int, int]:
+    """The exceed and tie counts of every segment, drawn by this thread and one more.
+
+    Each thread takes the next segment not yet taken and draws it in blocks
+    of at most `block` draws. The first exception in either thread stops
+    the other after its current block and is raised here once both have
+    ended, so no thread outlives the call.
+    """
+    segments = iter(range(-(-n_sims // _SEGMENT)))
+    lock = threading.Lock()
+    # Two threads in the per-cell loop at once hand the GIL back and forth
+    # at every numpy call and ran slower than one thread; with the loops
+    # taken in turn, one thread's loop overlaps the other's normals.
+    loop_lock = threading.Lock()
+    failed = []  # exceptions raised in either thread, the first first
+    counts = [[0, 0], [0, 0]]
+
+    def run(count: list[int]) -> None:
+        try:
+            while not failed:
+                with lock:
+                    j = next(segments, None)
+                if j is None:
+                    return
+                rng = make_rng(seed, jump=j)
+                drawn, end = j * _SEGMENT, min((j + 1) * _SEGMENT, n_sims)
+                while drawn < end and not failed:
+                    size = min(block, end - drawn)
+                    more, tied = _draw(rng, size, *law, lock=loop_lock)
+                    count[0] += more
+                    count[1] += tied
+                    drawn += size
+        except BaseException as exc:  # MemoryError and KeyboardInterrupt too
+            failed.append(exc)
+
+    worker = threading.Thread(target=run, args=(counts[1],))
+    try:
+        worker.start()
+    except RuntimeError:  # no thread can be started: this one draws every segment
+        run(counts[0])
+    else:
+        try:
+            run(counts[0])
+            worker.join()
+        except BaseException as exc:  # Ctrl-C outside run, say in join: stop the worker too
+            failed.append(exc)
+            worker.join()
+            raise
+    if failed:
+        raise failed[0]
+    return counts[0][0] + counts[1][0], counts[0][1] + counts[1][1]
 
 
 def test_st_wj(

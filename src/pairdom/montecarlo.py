@@ -44,7 +44,8 @@ stop_at = max(levels) in place of the default 1.0. The draws are the
 same blocks as in any other run; once the running mid-p count reaches
 that level, the full p1 can only be larger and no level rejects, so the
 remaining draws are skipped. The decisions, and hence every rate, are
-the same as from the full test.
+the same as from the full test. A test with an early stop never starts
+gptest's second thread, so the helper is the only other worker.
 
 An ExperimentConfig lists each test and each level at most once. A
 RejectionReport keeps the ExperimentConfig it ran as config; its CSV and
@@ -360,8 +361,9 @@ def _stwj_share(cfg: ExperimentConfig, replications: range) -> list[int]:
 # where this process did, never from its working directory, and it never
 # imports the caller's main module. _WORKERS counts this process too: 1
 # runs every replication here, 2 shares them with the helper, and None
-# means 2 where this process may use two CPUs or more. Two processes is
-# the only size measured, so there is never more than one helper. A
+# means 2 where this process may use two CPUs or more (gptest._two_cpus,
+# the rule gptest's own second thread follows). Two processes is the only
+# size measured, so there is never more than one helper. A
 # multiprocessing child (a Pool or ProcessPoolExecutor worker) runs
 # serially: its parent already spreads the work. The helper lives as long
 # as this process, and _stop_helper terminates and reaps it at exit,
@@ -392,11 +394,7 @@ def _wants_helper() -> bool:
     """Whether this process shares its replications with a helper."""
     if _WORKERS is not None:
         return _WORKERS == 2
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) >= 2
+    return gptest._two_cpus()
 
 
 class _Helper:

@@ -3,6 +3,10 @@
 All stochastic operations in the package take an explicit integer seed.
 Sub-streams are derived from (seed, stream indices) through numpy's
 SeedSequence, so parallel or out-of-order use reproduces the same draws.
+Within one such stream, jump=j gives the j-th of its substreams: the
+PCG64 state jumped j times from the stream's initial state (the streams
+and substreams of L'Ecuyer et al. 2002, Oper. Res. 50:1073-1075), so it
+depends on neither the thread that draws it nor what was drawn before.
 """
 
 from __future__ import annotations
@@ -20,10 +24,19 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for (seed, *stream). Identical inputs give identical streams."""
+# PCG64.jumped(j) advances the state by j * (phi - 1) * 2**128 draws
+_PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def make_rng(seed: int, *stream: int, jump: int = 0) -> np.random.Generator:
+    """Generator for (seed, *stream), at substream jump (0 is the stream's
+    start). Identical inputs give identical streams."""
     entropy = (_check_seed(seed), *(int(s) for s in stream))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    bits = np.random.PCG64(np.random.SeedSequence(entropy))
+    # bits.jumped(jump) in place: jumped() first seeds a new PCG64 from OS
+    # entropy, which tripled the cost of a substream
+    bits.advance(jump * _PCG64_JUMP % 2**128)
+    return np.random.Generator(bits)
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

@@ -43,8 +43,8 @@ ORDINAL_30_DISCRETE_JSON = """{
 C3_300_JSON = """{
   "statistic": 0.057735026918962595,
   "t_star": 1.534988159243745,
-  "p1": 0.9149,
-  "p_se": 0.0027903044636741698,
+  "p1": 0.9132,
+  "p_se": 0.002815417553401271,
   "n": 300,
   "k": 100,
   "cells": 67,
@@ -61,8 +61,8 @@ PORTFOLIO_XY_JSON = """{
   "stwj_forward": {
     "statistic": 0.0,
     "t_star": 0.060338963061181805,
-    "p1": 0.98035,
-    "p_se": 0.0013879437128356447,
+    "p1": 0.98265,
+    "p_se": 0.001305717331584443,
     "n": 339,
     "k": 100,
     "cells": 68,
@@ -74,8 +74,8 @@ PORTFOLIO_XY_JSON = """{
   "stwj_reverse": {
     "statistic": 1.9552516077368465,
     "t_star": 0.014009141152181794,
-    "p1": 0.0429,
-    "p_se": 0.0020263166090223905,
+    "p1": 0.0398,
+    "p_se": 0.0019548902782509305,
     "n": 339,
     "k": 100,
     "cells": 68,
@@ -97,8 +97,8 @@ PORTFOLIO_XYZ_JSON = """{
   "stwj_forward": {
     "statistic": 0.0,
     "t_star": 0.048271170448945445,
-    "p1": 0.98035,
-    "p_se": 0.0013879437128356447,
+    "p1": 0.98265,
+    "p_se": 0.001305717331584443,
     "n": 339,
     "k": 100,
     "cells": 68,
@@ -110,8 +110,8 @@ PORTFOLIO_XYZ_JSON = """{
   "stwj_reverse": {
     "statistic": 1.9552516077368465,
     "t_star": 0.011207312921745434,
-    "p1": 0.0429,
-    "p_se": 0.0020263166090223905,
+    "p1": 0.0398,
+    "p_se": 0.0019548902782509305,
     "n": 339,
     "k": 100,
     "cells": 68,

@@ -1,4 +1,9 @@
 import json
+import os
+import sys
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +35,14 @@ def differences_sample(d) -> PairedSample:
 def unit_variance_cov():
     # half d=+1, half d=-1: W(0) ~ N(0, 1) and W(1) = 0 exactly
     return build_covariance(Grid(np.array([0.0, 1.0])), differences_sample(np.tile([1.0, -1.0], 50)))
+
+
+def force_threads(monkeypatch, on: bool) -> None:
+    """Make pvalue_bounds share every run without an early stop over two
+    segments or more between two threads (on), or draw on one thread."""
+    monkeypatch.setattr(gptest, "_two_cpus", lambda: on)
+    if on:
+        monkeypatch.setattr(gptest, "_THREAD_NORMALS", 0)
 
 
 def ordinal_sample() -> PairedSample:
@@ -215,10 +228,15 @@ class TestPvalueBounds:
         assert abs(p1 - dense) <= 5 * np.sqrt(dense * (1 - dense) * 2 / n_sims)
 
     def test_each_draw_takes_dim_normals(self):
-        # the documented construction, drawn from the same stream
+        # the documented construction, drawn from the same streams: draws
+        # 0-2047 from make_rng(3), then 2048 draws from its PCG64 jumped
+        # once and the last 904 from it jumped twice
         s = case_sample("C8", 100, seed=6)
         cov = build_covariance(build_grid(s, 100), s)
-        z = make_rng(3).standard_normal((5000, cov.dim))
+        segments = [make_rng(3)] + [np.random.Generator(make_rng(3).bit_generator.jumped(j))
+                                    for j in (1, 2)]
+        z = np.concatenate([rng.standard_normal((rows, cov.dim))
+                            for rng, rows in zip(segments, (2048, 2048, 904))])
         w = cov.q / np.sqrt(cov.r)
         gamma = (1 - np.sqrt(1 - w @ w)) / (w @ w)
         v = np.sqrt(cov.r) * (z - gamma * np.outer(z @ w, w))
@@ -241,21 +259,21 @@ class TestPvalueBounds:
 class TestEarlyStop:
     @pytest.mark.parametrize("case, n, seed, n_sims, count", [
         ("C3", 50, 1, 2000, 782),
-        ("C3", 50, 1, 70_000, 28473),
+        ("C3", 50, 1, 70_000, 28486),
         ("C8", 100, 6, 2000, 14),
-        ("C8", 100, 6, 70_000, 438),
+        ("C8", 100, 6, 70_000, 487),
         ("C1", 100, 2, 2000, 1984),
-        ("C1", 100, 2, 70_000, 69396),
+        ("C1", 100, 2, 70_000, 69425.5),
     ])
     def test_without_stop_at_p1_is_pinned(self, case, n, seed, n_sims, count):
-        # mid-p counts of the 65 536-draw-block sampler at draw seed 99
+        # mid-p counts of the segmented sampler at draw seed 99
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
         assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
 
     @pytest.mark.parametrize("n_sims", [2000, 70_000])
     def test_a_run_that_never_stops_returns_p1(self, n_sims):
-        # growing blocks (256, 1024, ..., 65 536) draw the same stream
+        # a stop_at that no count reaches makes every draw of the same segments
         s = case_sample("C3", 50, seed=1)
         cov = build_covariance(build_grid(s, 100), s)
         stat = statistic_stwj(s)
@@ -310,34 +328,54 @@ class _RecordingRng:
 
 
 class TestBlockMemoryBound:
-    def record_blocks(self, monkeypatch):
+    def record_blocks(self, monkeypatch, threads=False):
+        """Record every normal block, with one thread or with two, and the
+        segments whose generators were made."""
         shapes = []
-        monkeypatch.setattr(gptest, "make_rng", lambda seed: _RecordingRng(make_rng(seed), shapes))
+        self.segments = []
+
+        def recording_rng(seed, jump=0):
+            self.segments.append(jump)
+            return _RecordingRng(make_rng(seed, jump=jump), shapes)
+
+        monkeypatch.setattr(gptest, "make_rng", recording_rng)
+        force_threads(monkeypatch, threads)
         return shapes
 
     def test_blocks_are_unchanged_up_to_dim_128(self, monkeypatch):
         cov = GpCovariance(cell=np.arange(1, 129), r=np.full(128, 1 / 128), q=np.zeros(128),
                            n_points=129)
-        # blocks grow from 256 by 4 to the 65 536-draw cap, which 64 MiB
-        # does not lower at dim 128
+        # blocks grow from 256 by 4 to the 2048-draw segment, which 64 MiB
+        # does not lower at dim 128, and end where a segment ends
         shapes = self.record_blocks(monkeypatch)
         pvalue_bounds(cov, 1.0, 100_000, seed=3)
-        assert shapes == [(256, 128), (1_024, 128), (4_096, 128), (16_384, 128),
-                          (65_536, 128), (12_704, 128)]
+        assert shapes == [(256, 128), (1_024, 128), (768, 128)] + [(2_048, 128)] * 47 + [
+            (1_696, 128)]
+        assert self.segments == list(range(49))
+        # two threads draw each segment in one block, in whichever order
+        shapes = self.record_blocks(monkeypatch, threads=True)
+        pvalue_bounds(cov, 1.0, 100_000, seed=3)
+        assert sorted(shapes) == [(1_696, 128)] + [(2_048, 128)] * 48
+        assert sorted(self.segments) == list(range(49))
 
     @pytest.mark.parametrize("case, n, seed, n_sims, count", [
         ("C3", 50, 1, 2000, 782),
-        ("C8", 100, 6, 70_000, 438),
-        ("C1", 100, 2, 70_000, 69396),
+        ("C8", 100, 6, 70_000, 487),
+        ("C1", 100, 2, 70_000, 69425.5),
     ])
     def test_capped_blocks_keep_p1(self, monkeypatch, case, n, seed, n_sims, count):
-        # the pinned counts of TestEarlyStop, drawn in blocks of 100 draws
+        # the pinned counts of TestEarlyStop, drawn in blocks of 100 draws,
+        # and of 50 draws a thread where two threads draw
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 100)
         shapes = self.record_blocks(monkeypatch)
         assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
         assert max(rows for rows, _ in shapes) == 100
+        assert sum(rows for rows, _ in shapes) == n_sims
+        shapes = self.record_blocks(monkeypatch, threads=True)
+        assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
+        assert max(rows for rows, _ in shapes) == (50 if n_sims > 2048 else 100)
         assert sum(rows for rows, _ in shapes) == n_sims
 
     def test_a_budget_below_one_draw_still_draws_one(self, monkeypatch):
@@ -363,6 +401,179 @@ class TestBlockMemoryBound:
             assert stopped <= full
             assert (stopped < level) == (full < level)
         assert max(rows for rows, _ in shapes) == 64
+
+
+def cov_of(s: PairedSample, k):
+    return build_covariance(build_grid(s, k), s)
+
+
+class _TwoThreadDraws:
+    """A patched draw under which both threads draw, each counting its
+    blocks, and which raises fail in the worker thread (in_worker) or in
+    the calling thread, once the other thread is inside its first block."""
+
+    def __init__(self, fail=None, in_worker=True):
+        self.real = gptest._draw
+        self.fail = fail
+        self.in_worker = in_worker
+        self.calls = {}
+        self.worker = None
+        self.worker_drew = threading.Event()
+        self.main_raised = threading.Event()
+
+    def __call__(self, *args, **kwargs):
+        me = threading.current_thread()
+        self.calls[me.name] = self.calls.get(me.name, 0) + 1
+        if me is threading.main_thread():
+            assert self.worker_drew.wait(10)
+            if self.fail is not None and self.in_worker:
+                self.worker.join(10)  # the worker has raised and ended
+            elif self.fail is not None:
+                self.main_raised.set()
+                raise self.fail
+        else:
+            self.worker = me
+            self.worker_drew.set()
+            if self.fail is not None and self.in_worker:
+                raise self.fail
+            if self.fail is not None:
+                assert self.main_raised.wait(10)
+                time.sleep(0.2)  # the calling thread records its failure meanwhile
+        return self.real(*args, **kwargs)
+
+
+class TestTwoThreads:
+    @pytest.mark.parametrize("make, stats", [
+        (unit_variance_cov, (0.0, 1.0)),
+        (lambda: cov_of(ordinal_sample(), None), (0.0, 0.5)),
+        (lambda: cov_of(case_sample("C8", 100, seed=6), 100), (0.5, 1.5)),
+        (lambda: cov_of(case_sample("C3", 300, seed=3), 100), (0.5, 1.0)),
+        (lambda: GpCovariance(cell=np.arange(1, 130), r=np.full(129, 1 / 129), q=np.zeros(129),
+                              n_points=130), (1.0,)),
+        (lambda: cov_of(case_sample("C1", 150, seed=5), None), (0.2, 0.8)),
+    ], ids=["dim1", "ordinal_k_none", "C8_k100", "C3_k100", "dim129", "C1_k_none"])
+    def test_p1_is_the_same_with_and_without_threads(self, monkeypatch, make, stats):
+        cov = make()
+        for stat in stats:
+            force_threads(monkeypatch, False)
+            serial = pvalue_bounds(cov, stat, 5_000, seed=7)
+            assert 0.0 < serial < 1.0
+            if serial < 0.9:  # the stop path walks the same segments
+                assert pvalue_bounds(cov, stat, 5_000, seed=7, stop_at=0.9) == serial
+            force_threads(monkeypatch, True)
+            assert pvalue_bounds(cov, stat, 5_000, seed=7) == serial
+            # blocks of at most 300 draws, 150 a thread
+            with monkeypatch.context() as capped:
+                capped.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 300)
+                assert pvalue_bounds(cov, stat, 5_000, seed=7) == serial
+                force_threads(capped, False)
+                assert pvalue_bounds(cov, stat, 5_000, seed=7) == serial
+
+    def test_both_threads_draw(self, monkeypatch):
+        cov = cov_of(case_sample("C3", 300, seed=3), 100)
+        force_threads(monkeypatch, False)
+        serial = pvalue_bounds(cov, 0.5, 10_000, seed=7)
+        force_threads(monkeypatch, True)
+        draws = _TwoThreadDraws()
+        monkeypatch.setattr(gptest, "_draw", draws)
+        assert pvalue_bounds(cov, 0.5, 10_000, seed=7) == serial
+        # one block per segment, at least one in each thread
+        assert len(draws.calls) == 2 and sum(draws.calls.values()) == 5
+
+    @pytest.mark.parametrize("fail, in_worker", [
+        (ValueError("worker"), True),
+        (MemoryError(), True),
+        (MemoryError(), False),
+        (KeyboardInterrupt(), False),
+    ], ids=["ValueError_in_worker", "MemoryError_in_worker", "MemoryError_here",
+            "KeyboardInterrupt_here"])
+    def test_the_first_exception_is_raised_here_and_no_thread_is_left(self, monkeypatch, fail,
+                                                                      in_worker):
+        cov = cov_of(case_sample("C3", 300, seed=3), 100)
+        force_threads(monkeypatch, True)
+        draws = _TwoThreadDraws(fail, in_worker)
+        monkeypatch.setattr(gptest, "_draw", draws)
+        threads = threading.active_count()
+        with pytest.raises(type(fail)) as raised:
+            pvalue_bounds(cov, 0.5, 20_000, seed=7)
+        assert raised.value is fail
+        assert threading.active_count() == threads
+        # of the ten segments, the failing thread drew one block, and the
+        # other stopped after the block it was drawing, if any
+        assert max(draws.calls.values()) == 1
+        assert sum(draws.calls.values()) <= 2
+
+    def test_concurrent_calls_each_draw_every_segment_once(self, monkeypatch):
+        # four callers, each with a second thread, on two CPUs or fewer, with
+        # a 10 us switch interval: a segment taken twice or skipped moves p1
+        cov = cov_of(case_sample("C8", 100, seed=6), 100)
+        force_threads(monkeypatch, False)
+        expected = [pvalue_bounds(cov, 0.5, 12_000, seed=seed) for seed in range(4)]
+        force_threads(monkeypatch, True)
+        got = [None] * 4
+
+        def call(i):
+            got[i] = pvalue_bounds(cov, 0.5, 12_000, seed=i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
+
+    def test_a_thread_that_cannot_start_leaves_the_draws_here(self, monkeypatch):
+        cov = cov_of(case_sample("C8", 100, seed=6), 100)
+        force_threads(monkeypatch, False)
+        serial = pvalue_bounds(cov, 0.5, 10_000, seed=7)
+        force_threads(monkeypatch, True)
+
+        def cannot_start(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        assert pvalue_bounds(cov, 0.5, 10_000, seed=7) == serial
+
+    def test_when_a_second_thread_draws(self, monkeypatch):
+        # every draw made, two segments or more, 2**18 normals or more, and
+        # two usable CPUs
+        threaded = []
+        real = gptest._count_on_two_threads
+        monkeypatch.setattr(gptest, "_count_on_two_threads",
+                            lambda *args: threaded.append(args[1]) or real(*args))
+        wide = cov_of(case_sample("C3", 300, seed=3), 100)
+        assert wide.dim * 4_000 >= 2**18 > wide.dim * 2_048
+        narrow = cov_of(ordinal_sample(), None)
+        assert narrow.dim * 10_000 < 2**18
+        monkeypatch.setattr(gptest, "_two_cpus", lambda: True)
+        pvalue_bounds(wide, 0.5, 4_000, seed=7)
+        pvalue_bounds(wide, 0.5, 4_000, seed=7, stop_at=1.5)
+        pvalue_bounds(wide, 0.5, 4_000, seed=7, stop_at=0.99)
+        pvalue_bounds(wide, 0.5, 2_048, seed=7)
+        pvalue_bounds(narrow, 0.5, 10_000, seed=7)
+        monkeypatch.setattr(gptest, "_two_cpus", lambda: False)
+        pvalue_bounds(wide, 0.5, 4_000, seed=7)
+        assert threaded == [4_000, 4_000]
+
+    def test_two_cpus_outside_a_multiprocessing_child(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert gptest._two_cpus()
+        with monkeypatch.context() as child:
+            child.setitem(sys.modules, "multiprocessing",
+                          types.SimpleNamespace(parent_process=lambda: object()))
+            assert not gptest._two_cpus()
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert not gptest._two_cpus()
 
 
 class TestFullTest:

@@ -471,6 +471,15 @@ class TestHelpers:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert not montecarlo._wants_helper()
 
+    def test_replications_start_no_thread(self, monkeypatch):
+        # a replication's test stops early (stop_at < 1), here or in the helper
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        monkeypatch.setattr(gptest, "_two_cpus", lambda: True)
+        monkeypatch.setattr(gptest, "_count_on_two_threads",
+                            lambda *args: pytest.fail("started a thread"))
+        cfg = dataclasses.replace(small_config("C3", 100, 4), n_sims=10_000)
+        run_rejection_experiment(cfg)
+
     @pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs /proc")
     def test_a_helper_runs_one_blas_thread(self, helper):
         environ = Path(f"/proc/{helper.process.pid}/environ").read_bytes().split(b"\0")

@@ -94,7 +94,8 @@ def test_quantile_monotone(p):
 
 
 def test_pvalue_chunking_is_stream_invariant(monkeypatch):
-    # exercises the block boundary: 70000 draws > one 65536-draw block
+    # exercises the segment boundaries: 70000 draws span 35 segments of
+    # 2048, and a 1000-draw block budget cuts each one elsewhere
     s = generate_scenario(scenario("C3"), 50, 1)
     cov = build_covariance(build_grid(s, 6), s)
     small = pvalue_bounds(cov, 1.2, 65_536, seed=12345)
@@ -102,7 +103,7 @@ def test_pvalue_chunking_is_stream_invariant(monkeypatch):
     again = pvalue_bounds(cov, 1.2, 70_000, seed=12345)
     assert crossing == again
     assert small == pytest.approx(crossing, abs=0.01)
-    monkeypatch.setattr(gptest, "_SIM_CHUNK", 4_096)
+    monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 1_000)
     assert pvalue_bounds(cov, 1.2, 70_000, seed=12345) == crossing
 
 

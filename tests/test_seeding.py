@@ -36,3 +36,14 @@ class TestMakeRng:
     def test_numpy_integer_seeds_accepted(self):
         s = np.int64(11)
         assert np.array_equal(make_rng(s).random(4), make_rng(11).random(4))
+
+
+def test_jump_is_pcg64_jumped_from_the_initial_state():
+    start = make_rng(7)
+    assert np.array_equal(make_rng(7, jump=0).standard_normal(8), start.standard_normal(8))
+    for j in (1, 2, 1000):
+        jumped = np.random.Generator(make_rng(7).bit_generator.jumped(j))
+        assert np.array_equal(make_rng(7, jump=j).standard_normal(8), jumped.standard_normal(8))
+    # substreams of one seed differ, and so do those of two streams
+    assert not np.array_equal(make_rng(7, jump=1).random(4), make_rng(7, jump=2).random(4))
+    assert not np.array_equal(make_rng(7, 1, jump=1).random(4), make_rng(7, jump=1).random(4))
