@@ -23,15 +23,7 @@ from .distributions import (
     sample_clayton_bivariate,
     sample_clayton_uniforms,
 )
-from .empirical import (
-    EmpiricalSurvival,
-    PairedSample,
-    differences,
-    read_paired_csv,
-    statistic_stwj,
-    survival_at,
-    write_paired_csv,
-)
+from .empirical import PairedSample, read_paired_csv, write_paired_csv
 from .errors import (
     AlignmentError,
     CapacityError,

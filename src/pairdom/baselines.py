@@ -133,15 +133,6 @@ def _run_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return start, stop
 
 
-def _midranks(a: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of a, each run of equal values given the mean of its ranks."""
-    order = np.argsort(a, kind="stable")
-    start, stop = _run_bounds(a[order][None, :])
-    ranks = np.empty(len(a))
-    ranks[order] = 0.5 * (start[0] + stop[0] + 1)
-    return ranks
-
-
 def _exact_wplus_cdf(ranks: np.ndarray, w_obs):
     """P(W+ <= w) over all 2^m equally likely sign patterns, for w in w_obs.
 

@@ -1,6 +1,5 @@
-"""Paired samples, difference samples, empirical survival functions and the
-one-sided Kolmogorov-Smirnov type statistic for weak joint stochastic
-dominance.
+"""Paired samples, the one-sided Kolmogorov-Smirnov type statistic for weak
+joint stochastic dominance, and the CSV and JSON readers and writers.
 
 The statistic for a paired sample {(x_i, y_i)} is
 
@@ -27,10 +26,6 @@ from .errors import CsvFormatError, ParameterError
 
 __all__ = [
     "PairedSample",
-    "EmpiricalSurvival",
-    "differences",
-    "survival_at",
-    "statistic_stwj",
     "statistic_and_t_star",
     "read_paired_csv",
     "write_paired_csv",
@@ -67,51 +62,6 @@ class PairedSample:
         return PairedSample(self.y.copy(), self.x.copy())
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalSurvival:
-    """Empirical survival function of a difference sample.
-
-    survival_at counts strict exceedances, so the function is
-    right-continuous, nonincreasing and takes values in {0, 1/n, ..., 1}.
-    """
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.sorted_values, dtype=float)
-        if v.ndim != 1 or len(v) == 0:
-            raise ParameterError("need a nonempty one-dimensional value array")
-        if not np.isfinite(v).all():
-            raise ParameterError("values must be finite")
-        if np.any(np.diff(v) < 0):
-            raise ParameterError("values must be nondecreasing")
-        object.__setattr__(self, "sorted_values", v)
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalSurvival":
-        return cls(np.sort(np.asarray(values, dtype=float)))
-
-
-def differences(s: PairedSample) -> tuple[np.ndarray, np.ndarray]:
-    """Difference samples (x_i - y_i) and (y_i - x_i), index aligned."""
-    d = s.x - s.y
-    return d, -d
-
-
-def survival_at(e: EmpiricalSurvival, t):
-    """Fraction of values strictly greater than t.
-
-    Accepts a scalar or an array of evaluation points.
-    """
-    v = e.sorted_values
-    n = len(v)
-    idx = np.searchsorted(v, t, side="right")
-    out = (n - idx) / n
-    if np.isscalar(t):
-        return float(out)
-    return out
-
-
 def statistic_and_t_star(s: PairedSample) -> tuple[float, float]:
     """The statistic sqrt(n) * sup_{t>=0}(Fbar_n - Gbar_n) and t_star.
 
@@ -133,16 +83,6 @@ def statistic_and_t_star(s: PairedSample) -> tuple[float, float]:
     count_gap = above_f - above_g
     t_star = float(candidates[count_gap == count_gap.max()].min())
     return float(np.sqrt(n) * gap.max()), t_star
-
-
-def statistic_stwj(s: PairedSample) -> float:
-    """One-sided KS-type statistic sqrt(n) * sup_{t>=0}(Fbar_n - Gbar_n).
-
-    Evaluated exactly on the candidate set {0} union nonnegative realized
-    differences. Negative realized differences correspond to t < 0 and lie
-    outside the supremum's domain. The maximum is returned unclamped.
-    """
-    return statistic_and_t_star(s)[0]
 
 
 def write_columns_csv(header: str, columns: Sequence, dest: str | Path | TextIO) -> None:

@@ -38,19 +38,19 @@ with a vanishing regularization puts that zero-variance point above 0 in
 half the draws; counting ties one half keeps p1 where such a draw puts it.
 
 Segments. The n_sims draws fall into segments of 2048 draws, and segment j
-draws from make_rng(seed, jump=j): segment 0 is the seed's own stream and
-segment j > 0 its PCG64 state jumped j times. A segment's draws depend on
-neither the thread that makes them nor the blocks they come in, so p1
-depends only on (covariance, statistic, n_sims, seed). A run without an
-early stop (stop_at >= 1) that draws at least 2**18 normals in two
-segments or more shares its segments between the calling thread and one
-more, where this process may use two CPUs; the normals, which are most of
-the cost, are then drawn on both.
+draws from substream j of the seed (make_rng with jump=j): segment 0 is the
+seed's own stream and segment j > 0 its PCG64 state jumped j times. A
+segment's draws depend on neither the thread that makes them nor the blocks
+they come in, so p1 depends only on (covariance, statistic, n_sims, seed).
+One walker takes the segments in turn and draws each in blocks. It runs on
+the calling thread alone, or, for a run without an early stop (stop_at >= 1)
+that draws at least 2**18 normals in two segments or more where this process
+may use two CPUs, on the calling thread and one more; the normals, which are
+most of the cost, are then drawn on both.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import sys
@@ -116,13 +116,6 @@ class GpCovariance:
     def dim(self) -> int:
         """Normals per draw: the number of nonempty cells."""
         return len(self.cell)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The n_points x n_points covariance A (diag r - q q^T) A^T."""
-        a = (self.cell[None, :] > np.arange(self.n_points)[:, None]).astype(float)
-        gap = a @ self.q
-        return (a * self.r) @ a.T - np.outer(gap, gap)
 
 
 @dataclass(frozen=True)
@@ -234,8 +227,7 @@ def _two_cpus() -> bool:
     return (cpus or 1) >= 2
 
 
-def _draw(rng, size, stat, sqrt_r, w, shift, first, floor, *,
-          lock=contextlib.nullcontext()) -> tuple[int, int]:
+def _draw(rng, size, stat, sqrt_r, w, shift, first, floor, *, lock) -> tuple[int, int]:
     """Draw size null paths from rng: how many maxima exceed stat, and how
     many equal it. Everything but the normals runs under lock."""
     z = rng.standard_normal((size, len(sqrt_r)))
@@ -267,11 +259,10 @@ def pvalue_bounds(
     each, and returns the fraction whose maximum exceeds stat, counting a
     maximum equal to stat one half.
 
-    The draws fall into segments of 2048; segment j draws from
-    make_rng(seed, jump=j). Within a segment, draws come in blocks that
-    start at 256 draws and grow by a factor of 4 up to the segment and
-    64 MiB of normals, so memory stays bounded whatever c.dim is; within
-    a segment the blocks do not change the stream.
+    The draws fall into segments of 2048; segment j draws from substream
+    j of the seed, in blocks of at most the segment and 64 MiB of normals,
+    so memory stays bounded whatever c.dim is. The blocks do not change a
+    segment's stream.
 
     After each block the run returns the running mid-p count over n_sims
     once that reaches stop_at, walking the segments in order. The count
@@ -279,13 +270,15 @@ def pvalue_bounds(
     level <= stop_at: neither rejects there. A run that does not stop
     returns p1 bit for bit, and the default 1.0 is reached only by the
     last draw, if at all. This is the exact sequential Monte Carlo
-    p-value of Besag & Clifford (1991).
+    p-value of Besag & Clifford (1991). Only a run that can stop early
+    (stop_at < 1) starts with blocks of 256 draws, growing by a factor of 4.
 
     With stop_at >= 1 every draw is made, so where this process may use
     two CPUs and at least 2**18 normals in two segments or more are due,
-    the calling thread and one more share the segments, each with blocks
-    of at most 32 MiB. The counts, and so p1, are the same as from one
-    thread.
+    the calling thread and one more each take the next segment not yet
+    taken, in blocks of at most 32 MiB; the counts, and so p1, are the
+    same. The first exception in either thread stops the other after its
+    current block and is raised here, so no thread outlives the call.
     """
     if not np.isfinite(stat):
         raise ParameterError(f"statistic must be finite, got {stat}")
@@ -305,41 +298,12 @@ def pvalue_bounds(
     # W = 0 at grid points past every cell, so the maximum is at least 0
     floor = 0.0 if first or c.dim == 0 or c.cell[-1] < c.n_points else -np.inf
     law = (stat, sqrt_r, w, shift, first, floor)
-    # draws whose normals fill the block budget, at least one
-    budget = max(1, _BLOCK_BYTES // (8 * max(1, c.dim)))
-    if (stop_at >= 1.0 and n_sims > _SEGMENT and n_sims * c.dim >= _THREAD_NORMALS
-            and _two_cpus()):
-        exceed, ties = _count_on_two_threads(seed, n_sims, min(_SEGMENT, max(1, budget // 2)), law)
-        return (exceed + 0.5 * ties) / n_sims
-    exceed = 0
-    ties = 0
-    drawn = 0
-    max_block = min(_SEGMENT, budget)
-    block = min(_FIRST_BLOCK, max_block)
-    for j in range(-(-n_sims // _SEGMENT)):
-        rng = make_rng(seed, jump=j)
-        end = min(drawn + _SEGMENT, n_sims)
-        while drawn < end:
-            size = min(block, end - drawn)
-            more, tied = _draw(rng, size, *law)
-            exceed += more
-            ties += tied
-            drawn += size
-            if (exceed + 0.5 * ties) / n_sims >= stop_at:
-                return (exceed + 0.5 * ties) / n_sims
-            block = min(block * _BLOCK_GROWTH, max_block)
-    return (exceed + 0.5 * ties) / n_sims
-
-
-def _count_on_two_threads(seed: int, n_sims: int, block: int, law: tuple) -> tuple[int, int]:
-    """The exceed and tie counts of every segment, drawn by this thread and one more.
-
-    Each thread takes the next segment not yet taken and draws it in blocks
-    of at most `block` draws. The first exception in either thread stops
-    the other after its current block and is raised here once both have
-    ended, so no thread outlives the call.
-    """
     segments = iter(range(-(-n_sims // _SEGMENT)))
+    threads = 2 if (stop_at >= 1.0 and n_sims > _SEGMENT and n_sims * c.dim >= _THREAD_NORMALS
+                    and _two_cpus()) else 1
+    max_block = min(_SEGMENT, max(1, _BLOCK_BYTES // (8 * max(1, c.dim) * threads)))
+    # a stop test can fire before the last draw only if stop_at < 1
+    first_block = min(_FIRST_BLOCK, max_block) if stop_at < 1.0 else max_block
     lock = threading.Lock()
     # Two threads in the per-cell loop at once hand the GIL back and forth
     # at every numpy call and ran slower than one thread; with the loops
@@ -350,6 +314,7 @@ def _count_on_two_threads(seed: int, n_sims: int, block: int, law: tuple) -> tup
 
     def run(count: list[int]) -> None:
         try:
+            block = first_block
             while not failed:
                 with lock:
                     j = next(segments, None)
@@ -363,25 +328,32 @@ def _count_on_two_threads(seed: int, n_sims: int, block: int, law: tuple) -> tup
                     count[0] += more
                     count[1] += tied
                     drawn += size
+                    if (count[0] + 0.5 * count[1]) / n_sims >= stop_at:
+                        return
+                    block = min(block * _BLOCK_GROWTH, max_block)
         except BaseException as exc:  # MemoryError and KeyboardInterrupt too
             failed.append(exc)
 
-    worker = threading.Thread(target=run, args=(counts[1],))
-    try:
-        worker.start()
-    except RuntimeError:  # no thread can be started: this one draws every segment
-        run(counts[0])
-    else:
+    worker = None
+    if threads == 2:
+        worker = threading.Thread(target=run, args=(counts[1],))
         try:
-            run(counts[0])
+            worker.start()
+        except RuntimeError:  # no thread can be started: this one draws every segment
+            worker = None
+    try:
+        run(counts[0])
+        if worker is not None:
             worker.join()
-        except BaseException as exc:  # Ctrl-C outside run, say in join: stop the worker too
-            failed.append(exc)
+    except BaseException as exc:  # Ctrl-C outside run, say in join: stop the worker too
+        failed.append(exc)
+        if worker is not None:
             worker.join()
-            raise
+        raise
     if failed:
         raise failed[0]
-    return counts[0][0] + counts[1][0], counts[0][1] + counts[1][1]
+    exceed, ties = counts[0][0] + counts[1][0], counts[0][1] + counts[1][1]
+    return (exceed + 0.5 * ties) / n_sims
 
 
 def test_st_wj(

@@ -5,13 +5,18 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pairdom
+from pairdom.baselines import _run_bounds
 from pairdom.empirical import PairedSample
+from pairdom.errors import ParameterError
+from pairdom.gptest import GpCovariance
 from pairdom.oracle import DiscreteBivariate, survival_of_difference
 
 # The six-atom discrete fixture: equal weight on each point, built so that
@@ -93,3 +98,71 @@ def run_fresh(code: str, script: Path | None = None, timeout: float = 120,
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def record_thread_starts(monkeypatch) -> list[threading.Thread]:
+    """Record every thread started from now on, in the returned list, and
+    start it as usual."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+@dataclass(frozen=True, eq=False)
+class EmpiricalSurvival:
+    """Empirical survival function of a difference sample, an independent
+    reference for the statistic and the covariance.
+
+    survival_at counts strict exceedances, so the function is
+    right-continuous, nonincreasing and takes values in {0, 1/n, ..., 1}.
+    """
+
+    sorted_values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.sorted_values, dtype=float)
+        if v.ndim != 1 or len(v) == 0:
+            raise ParameterError("need a nonempty one-dimensional value array")
+        if not np.isfinite(v).all():
+            raise ParameterError("values must be finite")
+        if np.any(np.diff(v) < 0):
+            raise ParameterError("values must be nondecreasing")
+        object.__setattr__(self, "sorted_values", v)
+
+    @classmethod
+    def from_values(cls, values) -> "EmpiricalSurvival":
+        return cls(np.sort(np.asarray(values, dtype=float)))
+
+
+def survival_at(e: EmpiricalSurvival, t):
+    """Fraction of values strictly greater than t, at a scalar or an array."""
+    v = e.sorted_values
+    n = len(v)
+    idx = np.searchsorted(v, t, side="right")
+    out = (n - idx) / n
+    if np.isscalar(t):
+        return float(out)
+    return out
+
+
+def dense_covariance(cov: GpCovariance) -> np.ndarray:
+    """The n_points x n_points covariance A (diag r - q q^T) A^T of a cell form."""
+    a = (cov.cell[None, :] > np.arange(cov.n_points)[:, None]).astype(float)
+    gap = a @ cov.q
+    return (a * cov.r) @ a.T - np.outer(gap, gap)
+
+
+def midranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a, each run of equal values given the mean of its ranks,
+    from the run bounds the Wilcoxon test ranks with."""
+    order = np.argsort(a, kind="stable")
+    start, stop = _run_bounds(a[order][None, :])
+    ranks = np.empty(len(a))
+    ranks[order] = 0.5 * (start[0] + stop[0] + 1)
+    return ranks

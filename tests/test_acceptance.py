@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import random_discrete_bivariate, stwj_holds_dense_scan
+from conftest import dense_covariance, random_discrete_bivariate, stwj_holds_dense_scan
 from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams
 from pairdom.finance import (
@@ -214,7 +214,7 @@ def test_criterion_12_covariance_formula():
     s_a = generate_scenario(scenario("C1"), n, seed=MASTER_SEED + 1)
     s_b = generate_scenario(scenario("C1"), n, seed=MASTER_SEED + 2)
     grid = gptest.Grid(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
-    built = gptest.build_covariance(grid, s_a).matrix
+    built = dense_covariance(gptest.build_covariance(grid, s_a))
     d = s_b.x - s_b.y
     l_t = (d[:, None] > grid.points[None, :]).astype(float) - (
         -d[:, None] > grid.points[None, :]

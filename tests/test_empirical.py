@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_paired_sample
+from conftest import EmpiricalSurvival, random_paired_sample, survival_at
 from pairdom.empirical import (
-    EmpiricalSurvival,
     PairedSample,
-    differences,
     read_paired_csv,
     statistic_and_t_star,
-    statistic_stwj,
-    survival_at,
     write_paired_csv,
 )
 from pairdom.errors import CsvFormatError, ParameterError
@@ -35,26 +31,6 @@ class TestPairedSample:
         s = PairedSample(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
         t = s.swap()
         assert np.array_equal(t.x, s.y) and np.array_equal(t.y, s.x)
-
-
-class TestDifferences:
-    def test_hand_example(self):
-        s = PairedSample(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
-        d_xy, d_yx = differences(s)
-        assert np.array_equal(d_xy, [-2.0, 1.0])
-        assert np.array_equal(d_yx, [2.0, -1.0])
-
-    def test_equal_arrays_give_zero(self):
-        x = np.array([0.5, -1.0, 3.0])
-        d_xy, d_yx = differences(PairedSample(x, x.copy()))
-        assert np.all(d_xy == 0.0) and np.all(d_yx == 0.0)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
-    def test_negation_identity(self, xs):
-        x = np.asarray(xs)
-        y = np.sin(x) * 10.0
-        d_xy, d_yx = differences(PairedSample(x, y))
-        assert np.all(d_xy + d_yx == 0.0)
 
 
 class TestSurvivalAt:
@@ -85,15 +61,15 @@ class TestStatistic:
     def test_hand_example_zero(self):
         s = PairedSample(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
         # candidates {0, 1, 2} give gaps {0, -0.5, 0}
-        assert statistic_stwj(s) == 0.0
+        assert statistic_and_t_star(s)[0] == 0.0
 
     def test_hand_example_sqrt2(self):
         s = PairedSample(np.array([3.0, 4.0]), np.array([1.0, 1.0]))
-        assert statistic_stwj(s) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert statistic_and_t_star(s)[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_identical_pairs_zero(self):
         x = np.array([0.0, 1.5, -2.0, 7.0])
-        assert statistic_stwj(PairedSample(x, x.copy())) == 0.0
+        assert statistic_and_t_star(PairedSample(x, x.copy()))[0] == 0.0
 
     def test_brute_force_dense_grid_agreement(self):
         rng = np.random.default_rng(123)
@@ -108,7 +84,7 @@ class TestStatistic:
             # dense grid over [0, max|d|] plus the candidate points themselves
             grid = np.unique(np.concatenate([np.linspace(0.0, hi, 100_001), d[d >= 0], -d[d <= 0]]))
             brute = np.sqrt(s.n) * (survival_at(f, grid) - survival_at(g, grid)).max()
-            assert statistic_stwj(s) == pytest.approx(brute, abs=1e-12)
+            assert statistic_and_t_star(s)[0] == pytest.approx(brute, abs=1e-12)
 
     def test_swap_reflection(self):
         rng = np.random.default_rng(7)
@@ -119,8 +95,9 @@ class TestStatistic:
             g = EmpiricalSurvival.from_values(-d)
             cands = np.concatenate(([0.0], d[d >= 0], -d[d <= 0]))
             negated = (survival_at(g, cands) - survival_at(f, cands)).max()
-            assert statistic_stwj(s.swap()) == pytest.approx(np.sqrt(s.n) * negated, abs=1e-12)
-            assert max(statistic_stwj(s), statistic_stwj(s.swap())) >= 0.0
+            assert statistic_and_t_star(s.swap())[0] == pytest.approx(np.sqrt(s.n) * negated,
+                                                                  abs=1e-12)
+            assert max(statistic_and_t_star(s)[0], statistic_and_t_star(s.swap())[0]) >= 0.0
 
     @given(
         st.lists(st.floats(-100, 100), min_size=2, max_size=25),
@@ -130,8 +107,8 @@ class TestStatistic:
     def test_shift_equivariance(self, xs, c):
         x = np.asarray(xs)
         y = np.cos(x)
-        base = statistic_stwj(PairedSample(x, y))
-        shifted = statistic_stwj(PairedSample(x + c, y + c))
+        base = statistic_and_t_star(PairedSample(x, y))[0]
+        shifted = statistic_and_t_star(PairedSample(x + c, y + c))[0]
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -159,7 +136,6 @@ class TestTStar:
         d = np.asarray(values)
         s = PairedSample(d, np.zeros(len(d)))
         stat, t_star = statistic_and_t_star(s)
-        assert stat == statistic_stwj(s)
         # every gap value is taken on a quarter-integer point of [0, 5]
         grid = np.arange(0, 21) / 4.0
         counts = gap_counts(d, grid)

@@ -9,14 +9,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from conftest import EmpiricalSurvival, dense_covariance, record_thread_starts, survival_at
 from pairdom import gptest
-from pairdom.empirical import (
-    EmpiricalSurvival,
-    PairedSample,
-    statistic_and_t_star,
-    statistic_stwj,
-    survival_at,
-)
+from pairdom.empirical import PairedSample, statistic_and_t_star
 from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
 from pairdom.gptest import GpCovariance, Grid, build_covariance, build_grid, pvalue_bounds
 from pairdom.montecarlo import generate_scenario, scenario
@@ -136,26 +131,26 @@ class TestCovariance:
         d = np.sort(x)
         for i, t in enumerate(g.points):
             fbar = np.mean(d > t)
-            assert cov.matrix[i, i] == pytest.approx(2.0 * fbar, abs=1e-12)
+            assert dense_covariance(cov)[i, i] == pytest.approx(2.0 * fbar, abs=1e-12)
 
     def test_point_beyond_support_is_zero(self):
         s = PairedSample(np.array([1.0, -1.0]), np.zeros(2))
         g = Grid(np.array([0.0, 1.0, 5.0]))
         cov = build_covariance(g, s)
-        assert cov.matrix[2, 2] == 0.0
+        assert dense_covariance(cov)[2, 2] == 0.0
 
     def test_hand_computed_entry(self):
         s = PairedSample(np.array([3.0, 4.0]), np.array([1.0, 1.0]))
         g = Grid(np.array([0.0, 3.0]))
         cov = build_covariance(g, s)
         # Fbar(0) = 1, Gbar(0) = 0: 1 + 0 - (1 - 0)^2 = 0
-        assert cov.matrix[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert dense_covariance(cov)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry_and_max_rule(self):
         s = case_sample("C1", 200, seed=3)
         g = build_grid(s, 25)
         cov = build_covariance(g, s)
-        m = cov.matrix
+        m = dense_covariance(cov)
         assert np.abs(m - m.T).max() <= 1e-12
         d = s.x - s.y
         fbar = lambda t: np.mean(d > t)
@@ -179,7 +174,7 @@ class TestCovariance:
     ], ids=["C1_n200", "C8_n100", "ordinal_support_grid", "grid_past_support"])
     def test_matrix_matches_closed_form(self, make):
         s, g = make()
-        m = build_covariance(g, s).matrix
+        m = dense_covariance(build_covariance(g, s))
         assert m.shape == (g.k + 1, g.k + 1)
         assert np.abs(m - closed_form_covariance(g, s)).max() <= 1e-12
 
@@ -213,7 +208,7 @@ class TestPvalueBounds:
 
     def test_agrees_with_a_dense_cholesky_draw(self):
         s = case_sample("C3", 200, seed=7)
-        stat = statistic_stwj(s)
+        stat = statistic_and_t_star(s)[0]
         assert stat > 0.0
         g = build_grid(s, 100)
         factor = np.linalg.cholesky(closed_form_covariance(g, s) + 1e-10 * np.eye(g.k + 1))
@@ -269,21 +264,21 @@ class TestEarlyStop:
         # mid-p counts of the segmented sampler at draw seed 99
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
-        assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
+        assert pvalue_bounds(cov, statistic_and_t_star(s)[0], n_sims, seed=99) == count / n_sims
 
     @pytest.mark.parametrize("n_sims", [2000, 70_000])
     def test_a_run_that_never_stops_returns_p1(self, n_sims):
         # a stop_at that no count reaches makes every draw of the same segments
         s = case_sample("C3", 50, seed=1)
         cov = build_covariance(build_grid(s, 100), s)
-        stat = statistic_stwj(s)
+        stat = statistic_and_t_star(s)[0]
         full = pvalue_bounds(cov, stat, n_sims, seed=99)
         assert pvalue_bounds(cov, stat, n_sims, seed=99, stop_at=1.5) == full
 
     def test_stops_after_the_first_block_that_settles_it(self):
         s = case_sample("C1", 100, seed=2)
         cov = build_covariance(build_grid(s, 100), s)
-        stat = statistic_stwj(s)
+        stat = statistic_and_t_star(s)[0]
         full = pvalue_bounds(cov, stat, 2000, seed=99)
         stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=0.05)
         first_block = pvalue_bounds(cov, stat, 256, seed=99)
@@ -345,12 +340,18 @@ class TestBlockMemoryBound:
     def test_blocks_are_unchanged_up_to_dim_128(self, monkeypatch):
         cov = GpCovariance(cell=np.arange(1, 129), r=np.full(128, 1 / 128), q=np.zeros(128),
                            n_points=129)
-        # blocks grow from 256 by 4 to the 2048-draw segment, which 64 MiB
-        # does not lower at dim 128, and end where a segment ends
+        # where the run can stop early, blocks grow from 256 by 4 to the
+        # 2048-draw segment, which 64 MiB does not lower at dim 128, and end
+        # where a segment ends; this stop_at is never reached
         shapes = self.record_blocks(monkeypatch)
-        pvalue_bounds(cov, 1.0, 100_000, seed=3)
+        assert pvalue_bounds(cov, 1.0, 100_000, seed=3, stop_at=0.99) < 0.99
         assert shapes == [(256, 128), (1_024, 128), (768, 128)] + [(2_048, 128)] * 47 + [
             (1_696, 128)]
+        assert self.segments == list(range(49))
+        # a run that makes every draw takes one block per segment
+        shapes = self.record_blocks(monkeypatch)
+        pvalue_bounds(cov, 1.0, 100_000, seed=3)
+        assert shapes == [(2_048, 128)] * 48 + [(1_696, 128)]
         assert self.segments == list(range(49))
         # two threads draw each segment in one block, in whichever order
         shapes = self.record_blocks(monkeypatch, threads=True)
@@ -370,18 +371,18 @@ class TestBlockMemoryBound:
         cov = build_covariance(build_grid(s, 100), s)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 100)
         shapes = self.record_blocks(monkeypatch)
-        assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
+        assert pvalue_bounds(cov, statistic_and_t_star(s)[0], n_sims, seed=99) == count / n_sims
         assert max(rows for rows, _ in shapes) == 100
         assert sum(rows for rows, _ in shapes) == n_sims
         shapes = self.record_blocks(monkeypatch, threads=True)
-        assert pvalue_bounds(cov, statistic_stwj(s), n_sims, seed=99) == count / n_sims
+        assert pvalue_bounds(cov, statistic_and_t_star(s)[0], n_sims, seed=99) == count / n_sims
         assert max(rows for rows, _ in shapes) == (50 if n_sims > 2048 else 100)
         assert sum(rows for rows, _ in shapes) == n_sims
 
     def test_a_budget_below_one_draw_still_draws_one(self, monkeypatch):
         s = case_sample("C3", 50, seed=1)
         cov = build_covariance(build_grid(s, 100), s)
-        stat = statistic_stwj(s)
+        stat = statistic_and_t_star(s)[0]
         full = pvalue_bounds(cov, stat, 300, seed=99)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 1)
         shapes = self.record_blocks(monkeypatch)
@@ -392,7 +393,7 @@ class TestBlockMemoryBound:
     def test_capped_blocks_keep_early_stop_decisions(self, monkeypatch, case, n, seed):
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
-        stat = statistic_stwj(s)
+        stat = statistic_and_t_star(s)[0]
         full = pvalue_bounds(cov, stat, 2000, seed=99)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 64)
         shapes = self.record_blocks(monkeypatch)
@@ -454,14 +455,18 @@ class TestTwoThreads:
     ], ids=["dim1", "ordinal_k_none", "C8_k100", "C3_k100", "dim129", "C1_k_none"])
     def test_p1_is_the_same_with_and_without_threads(self, monkeypatch, make, stats):
         cov = make()
+        threads = threading.active_count()
         for stat in stats:
             force_threads(monkeypatch, False)
             serial = pvalue_bounds(cov, stat, 5_000, seed=7)
             assert 0.0 < serial < 1.0
+            assert threading.active_count() == threads
             if serial < 0.9:  # the stop path walks the same segments
                 assert pvalue_bounds(cov, stat, 5_000, seed=7, stop_at=0.9) == serial
             force_threads(monkeypatch, True)
             assert pvalue_bounds(cov, stat, 5_000, seed=7) == serial
+            # no thread outlives a call that returns
+            assert threading.active_count() == threads
             # blocks of at most 300 draws, 150 a thread
             with monkeypatch.context() as capped:
                 capped.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 300)
@@ -503,6 +508,31 @@ class TestTwoThreads:
         assert max(draws.calls.values()) == 1
         assert sum(draws.calls.values()) <= 2
 
+    def test_ctrl_c_in_join_stops_the_worker(self, monkeypatch):
+        cov = cov_of(case_sample("C3", 300, seed=3), 100)
+        force_threads(monkeypatch, True)
+        real, join = gptest._draw, threading.Thread.join
+        worker_drew = threading.Event()
+
+        def slow_in_the_worker(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                assert worker_drew.wait(10)
+            else:
+                worker_drew.set()
+                time.sleep(0.2)  # the calling thread reaches join meanwhile
+            return real(*args, **kwargs)
+
+        def interrupted_join(self, timeout=None):
+            monkeypatch.setattr(threading.Thread, "join", join)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(gptest, "_draw", slow_in_the_worker)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            pvalue_bounds(cov, 0.5, 20_000, seed=7)
+        assert threading.active_count() == threads
+
     def test_concurrent_calls_each_draw_every_segment_once(self, monkeypatch):
         # four callers, each with a second thread, on two CPUs or fewer, with
         # a 10 us switch interval: a segment taken twice or skipped moves p1
@@ -543,23 +573,25 @@ class TestTwoThreads:
     def test_when_a_second_thread_draws(self, monkeypatch):
         # every draw made, two segments or more, 2**18 normals or more, and
         # two usable CPUs
-        threaded = []
-        real = gptest._count_on_two_threads
-        monkeypatch.setattr(gptest, "_count_on_two_threads",
-                            lambda *args: threaded.append(args[1]) or real(*args))
+        started = record_thread_starts(monkeypatch)
+
+        def threaded(cov, n_sims, **kwargs):
+            before = len(started)
+            pvalue_bounds(cov, 0.5, n_sims, seed=7, **kwargs)
+            return len(started) - before
+
         wide = cov_of(case_sample("C3", 300, seed=3), 100)
         assert wide.dim * 4_000 >= 2**18 > wide.dim * 2_048
         narrow = cov_of(ordinal_sample(), None)
         assert narrow.dim * 10_000 < 2**18
         monkeypatch.setattr(gptest, "_two_cpus", lambda: True)
-        pvalue_bounds(wide, 0.5, 4_000, seed=7)
-        pvalue_bounds(wide, 0.5, 4_000, seed=7, stop_at=1.5)
-        pvalue_bounds(wide, 0.5, 4_000, seed=7, stop_at=0.99)
-        pvalue_bounds(wide, 0.5, 2_048, seed=7)
-        pvalue_bounds(narrow, 0.5, 10_000, seed=7)
+        assert threaded(wide, 4_000) == 1
+        assert threaded(wide, 4_000, stop_at=1.5) == 1
+        assert threaded(wide, 4_000, stop_at=0.99) == 0
+        assert threaded(wide, 2_048) == 0
+        assert threaded(narrow, 10_000) == 0
         monkeypatch.setattr(gptest, "_two_cpus", lambda: False)
-        pvalue_bounds(wide, 0.5, 4_000, seed=7)
-        assert threaded == [4_000, 4_000]
+        assert threaded(wide, 4_000) == 0
 
     def test_two_cpus_outside_a_multiprocessing_child(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from conftest import run_fresh
+from conftest import record_thread_starts, run_fresh
 
 from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams, Pareto, Weibull
@@ -475,10 +475,10 @@ class TestHelpers:
         # a replication's test stops early (stop_at < 1), here or in the helper
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         monkeypatch.setattr(gptest, "_two_cpus", lambda: True)
-        monkeypatch.setattr(gptest, "_count_on_two_threads",
-                            lambda *args: pytest.fail("started a thread"))
+        started = record_thread_starts(monkeypatch)
         cfg = dataclasses.replace(small_config("C3", 100, 4), n_sims=10_000)
         run_rejection_experiment(cfg)
+        assert started == []
 
     @pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs /proc")
     def test_a_helper_runs_one_blas_thread(self, helper):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import stwj_holds_dense_scan
 from pairdom import gptest
 from pairdom.distributions import Normal, Pareto, Weibull, quantile
-from pairdom.empirical import PairedSample, statistic_stwj
+from pairdom.empirical import PairedSample, statistic_and_t_star
 from pairdom.gptest import build_covariance, build_grid, pvalue_bounds
 from pairdom.montecarlo import generate_scenario, scenario
 from pairdom.oracle import DiscreteBivariate, check_precedence, check_st_wj_discrete
@@ -73,8 +73,8 @@ def test_statistic_scale_invariance(xs, scale):
     # gap values, so the statistic is unchanged
     x = np.asarray(xs)
     y = np.sin(x) * 3.0
-    base = statistic_stwj(PairedSample(x, y))
-    scaled = statistic_stwj(PairedSample(scale * x, scale * y))
+    base = statistic_and_t_star(PairedSample(x, y))[0]
+    scaled = statistic_and_t_star(PairedSample(scale * x, scale * y))[0]
     assert scaled == pytest.approx(base, abs=1e-9)
 
 

@@ -1,8 +1,11 @@
 """Importing pairdom loads no part of scipy and no process machinery; the
 functions that need scipy.special load it on their first call."""
 
+import types
+
 import pytest
 
+import pairdom
 from conftest import run_fresh
 
 SCIPY_PARTS = ("scipy.stats", "scipy.special")
@@ -12,6 +15,30 @@ PROCESS_PARTS = ("multiprocessing", "concurrent.futures", "subprocess")
 def loaded_after(code: str, parts=SCIPY_PARTS) -> set[str]:
     out = run_fresh(code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))")
     return set(out.split()) & set(parts)
+
+
+PUBLIC_NAMES = [
+    "AlignmentError", "AnalysisReport", "BaselineResult", "BivariateNormalParams",
+    "CapacityError", "ClaytonParams", "CsvFormatError", "DegenerateSampleError",
+    "DiscreteBivariate", "DomainError", "ExperimentConfig", "GpCovariance", "Grid",
+    "InsufficientDataError", "MarginalDist", "MarginalOrder", "Normal", "OrderVerdict",
+    "PairdomError", "PairedSample", "ParameterError", "Pareto", "PriceSeries", "QQData",
+    "RejectionReport", "ReturnSeries", "ScenarioSpec", "TestResult", "Weibull", "align",
+    "analytic_st_wj_bivariate_normal", "analyze_pair", "build_covariance", "build_grid", "cdf",
+    "check_precedence", "check_st_marginals_discrete", "check_st_wj_discrete",
+    "convolve_independent", "generate_scenario", "paired_t_test", "portfolio_returns",
+    "pvalue_bounds", "qq_export", "quantile", "read_paired_csv", "run_rejection_experiment",
+    "sample_bivariate_normal", "sample_clayton_bivariate", "sample_clayton_uniforms",
+    "scenario", "survival_of_difference", "test_st_wj", "weekly_returns",
+    "wilcoxon_signed_rank", "write_paired_csv",
+]
+
+
+def test_public_names_are_pinned():
+    # an export added or removed shows up here; submodules are not exports
+    names = [name for name, value in vars(pairdom).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(names) == PUBLIC_NAMES
 
 
 def test_import_loads_no_scipy():
