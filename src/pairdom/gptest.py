@@ -272,6 +272,7 @@ def pvalue_bounds(
     last draw, if at all. This is the exact sequential Monte Carlo
     p-value of Besag & Clifford (1991). Only a run that can stop early
     (stop_at < 1) starts with blocks of 256 draws, growing by a factor of 4.
+    stop_at must be > 0: ParameterError otherwise, NaN included.
 
     With stop_at >= 1 every draw is made, so where this process may use
     two CPUs and at least 2**18 normals in two segments or more are due,
@@ -284,6 +285,8 @@ def pvalue_bounds(
         raise ParameterError(f"statistic must be finite, got {stat}")
     if n_sims < 100:
         raise ParameterError(f"n_sims must be >= 100, got {n_sims}")
+    if not stop_at > 0:  # NaN too
+        raise ParameterError(f"stop_at must be > 0, got {stop_at}")
     sqrt_r = np.sqrt(c.r)
     w = c.q / sqrt_r
     gamma = 1.0 / (1.0 + math.sqrt(max(0.0, 1.0 - float(w @ w))))

@@ -11,32 +11,36 @@ Clayton copula with theta = 0.5:
     C7  X ~ Weibull(0.75, 4)  Y ~ Weibull(0.25, 1.5) (order fails)
     C8  X ~ Weibull(0.5, 2)   Y ~ Weibull(0.9, 1.5)  (order fails)
 
-Each replication r of an experiment derives its own seeds from
-(master_seed, r), so results are independent of execution order, of
+Replication r of an experiment draws its sample with seed
+(master_seed, r, 0) and tests it for dominance with seed
+(master_seed, r, 1), so results are independent of execution order, of
 which process runs a replication and of any parallelism in the caller.
 
-Replications run in chunks. Per replication, the harness draws the
-sample with seed (master_seed, r, 0), runs the dominance test on it with
-seed (master_seed, r, 1) (derived only when "stwj" is among the tests)
-and, when a baseline is configured, stores its differences y - x as one
-row of the chunk. Per chunk, each baseline (t, Wilcoxon) runs once over
-all the rows through baselines.paired_t_rows / wilcoxon_rows, whose row
-results equal the one-sample functions' bit for bit, with degenerate rows
-counted as failures. A chunk holds at most _CHUNK_BYTES of differences,
+Each test fills one tally, [rejections per level..., failures], in one
+of two passes that know nothing of each other. The baseline pass runs
+the replications in chunks of at most _CHUNK_BYTES of differences y - x,
 and at least one row, so memory is bounded for any replications x n.
-Counting is commutative, so the report does not depend on the chunk size.
+Each baseline (t, Wilcoxon) runs once per chunk through
+baselines.paired_t_rows / wilcoxon_rows, whose row results equal the
+one-sample functions' bit for bit, with degenerate rows counted as
+failures. The dominance-test pass runs every replication through one
+routine, _stwj_tally, in this process or in the helper below. A cell
+that mixes "stwj" with a baseline draws each sample once per pass; a
+sample costs a small fraction of a dominance test. Counting is
+commutative, so the report depends neither on the chunk size nor on
+which process ran a replication.
 
-The dominance test is nearly all of the cost, so its replications are
-shared with a helper process where this process may use two CPUs. The
-helper is a fresh interpreter running _serve() below with this process's
-import path, started on the first call that wants it and kept for later
-calls; it never imports the caller's main module, so scripts need no
-``__main__`` guard. A call never waits for the helper to start. Once it
-is ready, it takes every other replication still to run and returns its
-rejection counts per level and its failure count, which are summed with
-this process's. The baselines, and cells without "stwj", stay in this
-process and never touch the helper. The helper is terminated and reaped
-when the interpreter exits.
+The dominance test is nearly all of the cost, so its pass shares
+replications with a helper process where this process may use two CPUs.
+The helper is a fresh interpreter running _serve() below with this
+process's import path, started on the first call that wants it and kept
+for later calls; it never imports the caller's main module, so scripts
+need no ``__main__`` guard. A call never waits for the helper to start.
+Once it is ready, it takes every other replication still to run and
+returns its tally, which is added to this process's; if it dies, its
+share runs here. The baseline pass, and cells without "stwj", never
+touch the helper. The helper is terminated and reaped when the
+interpreter exits.
 
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
@@ -263,59 +267,65 @@ def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
 
 
 def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
-    """Run the replication loop and aggregate rejection rates.
+    """Run the replications and aggregate rejection rates.
 
-    Replication r draws its sample with seed (master_seed, r, 0) and runs
-    the dominance test with seed (master_seed, r, 1); the baselines run
-    once per chunk of replications on the stacked differences.
-    Aggregation is commutative counting, so any execution order, chunk
-    size and sharing of replications with a helper give the same report.
-
-    With "stwj" among the tests, the call starts the helper process if it
-    is not running yet and never waits for it: until the helper is ready,
-    this process runs the replications itself; from the replication at
-    which it is ready, the helper takes every other dominance test still
-    to run. The baselines always run here.
+    The baseline pass fills a tally per baseline and the dominance-test
+    pass the tally of "stwj"; the report divides each by the replications.
     """
     started = time.perf_counter()
-    counts = {(test, level): 0 for test in cfg.tests for level in cfg.levels}
-    failures = {test: 0 for test in cfg.tests}
-    stwj = "stwj" in cfg.tests
     baselines = [test for test in cfg.tests if test != "stwj"]
-    # the dominance-test tally of this process: rejections per level, then failures
-    tally = [0] * (len(cfg.levels) + 1)
-    # a call made while another thread shares with the helper runs serially
-    sharing = stwj and _helper_lock.acquire(blocking=False)
-    share = None  # the replications sent to the helper
-    # from replication `split` on, this process tests every other one
-    split = cfg.replications
+    tallies = _baseline_tallies(cfg, baselines) if baselines else {}
+    if "stwj" in cfg.tests:
+        tallies["stwj"] = _stwj_pass(cfg)
+    rates = {(test, level): tallies[test][i] / cfg.replications
+             for test in cfg.tests for i, level in enumerate(cfg.levels)}
+    failures = {test: tallies[test][-1] for test in cfg.tests}
+    return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started)
+
+
+def _sample(cfg: ExperimentConfig, r: int) -> PairedSample:
+    """Replication r's sample, drawn with seed (master_seed, r, 0)."""
+    return generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
+
+
+def _baseline_tallies(cfg: ExperimentConfig, tests: list[str]) -> dict[str, list[int]]:
+    """The baseline pass: the tally of each of tests, run once per chunk
+    of replications on the chunk's rows of differences y - x."""
+    tallies = {test: [0] * (len(cfg.levels) + 1) for test in tests}
     chunk = max(1, _CHUNK_BYTES // (8 * cfg.n))
+    for first in range(0, cfg.replications, chunk):
+        diffs = np.empty((min(chunk, cfg.replications - first), cfg.n))
+        for i, row in enumerate(diffs):
+            sample = _sample(cfg, first + i)
+            np.subtract(sample.y, sample.x, out=row)
+        for test, tally in tallies.items():
+            rows = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
+            for i, level in enumerate(cfg.levels):
+                tally[i] += int(np.count_nonzero(~rows.failed & (rows.p_value < level)))
+            tally[-1] += int(np.count_nonzero(rows.failed))
+    return tallies
+
+
+def _stwj_pass(cfg: ExperimentConfig) -> list[int]:
+    """The dominance-test pass: the tally of every replication. From the
+    replication at which the helper is ready, the helper takes every
+    other one still to run."""
+    tally = [0] * (len(cfg.levels) + 1)
+    todo, share = range(cfg.replications), None
+    # a call made while another thread shares with the helper runs serially
+    sharing = _helper_lock.acquire(blocking=False)
     try:
         helper = _start_helper() if sharing else None
-        for first in range(0, cfg.replications, chunk):
-            last = min(first + chunk, cfg.replications)
-            diffs = np.empty((last - first, cfg.n)) if baselines else None
-            for r in range(first, last):
-                if helper is not None and share is None and helper.is_ready():
-                    split, share = r, range(r + 1, cfg.replications, 2)
-                    helper.submit(cfg, share)
-                mine = stwj and (r < split or (r - split) % 2 == 0)
-                if diffs is None and not mine:
-                    continue
-                sample = generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
-                if diffs is not None:
-                    np.subtract(sample.y, sample.x, out=diffs[r - first])
-                if mine:
-                    _tally_stwj(cfg, r, sample, tally)
-            for test in baselines:
-                rows = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
-                failures[test] += int(np.count_nonzero(rows.failed))
-                for level in cfg.levels:
-                    counts[(test, level)] += int(np.count_nonzero(~rows.failed & (rows.p_value < level)))
+        while todo:
+            if helper is not None and share is None and helper.is_ready():
+                share, todo = todo[1::2], todo[::2]
+                helper.submit(cfg, share)
+            tally = [a + b for a, b in zip(tally, _stwj_tally(cfg, todo[:1]))]
+            todo = todo[1:]
         if share is not None:
             shared = helper.result()
             if shared is None:  # the helper is gone: run its share here
-                shared = _stwj_share(cfg, share)
+                shared = _stwj_tally(cfg, share)
             tally = [a + b for a, b in zip(tally, shared)]
     except BaseException:
         if share is not None:  # its reply would be read by a later call
@@ -324,34 +334,25 @@ def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
     finally:
         if sharing:
             _helper_lock.release()
-    if stwj:
-        for i, level in enumerate(cfg.levels):
-            counts[("stwj", level)] = tally[i]
-        failures["stwj"] = tally[-1]
-    rates = {key: counts[key] / cfg.replications for key in counts}
-    return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started)
+    return tally
 
 
-def _tally_stwj(cfg: ExperimentConfig, r: int, sample: PairedSample, tally: list[int]) -> None:
-    """Add replication r's dominance test to tally: a rejection per level or a failure."""
-    try:
-        result = gptest.test_st_wj(
-            sample, cfg.k, cfg.n_sims,
-            seed=derive_seed(cfg.master_seed, r, 1), stop_at=max(cfg.levels),
-        )
-    except DegenerateSampleError:
-        tally[-1] += 1
-        return
-    for i, level in enumerate(cfg.levels):
-        tally[i] += result.reject_at(level)
-
-
-def _stwj_share(cfg: ExperimentConfig, replications: range) -> list[int]:
-    """The dominance-test tally of some replications: a helper's share."""
+def _stwj_tally(cfg: ExperimentConfig, replications: range) -> list[int]:
+    """The dominance-test tally of some replications, in this process or
+    the helper: a rejection per level at which p1 < level, or a failure."""
     tally = [0] * (len(cfg.levels) + 1)
     for r in replications:
-        sample = generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
-        _tally_stwj(cfg, r, sample, tally)
+        sample = _sample(cfg, r)
+        try:
+            result = gptest.test_st_wj(
+                sample, cfg.k, cfg.n_sims,
+                seed=derive_seed(cfg.master_seed, r, 1), stop_at=max(cfg.levels),
+            )
+        except DegenerateSampleError:
+            tally[-1] += 1
+            continue
+        for i, level in enumerate(cfg.levels):
+            tally[i] += result.reject_at(level)
     return tally
 
 
@@ -359,17 +360,14 @@ def _stwj_share(cfg: ExperimentConfig, replications: range) -> list[int]:
 # pickles with this process over its stdin and stdout. Its sys.path is this
 # process's, passed as arguments, so it imports pairdom and numpy from
 # where this process did, never from its working directory, and it never
-# imports the caller's main module. _WORKERS counts this process too: 1
-# runs every replication here, 2 shares them with the helper, and None
-# means 2 where this process may use two CPUs or more (gptest._two_cpus,
-# the rule gptest's own second thread follows). Two processes is the only
-# size measured, so there is never more than one helper. A
-# multiprocessing child (a Pool or ProcessPoolExecutor worker) runs
-# serially: its parent already spreads the work. The helper lives as long
-# as this process, and _stop_helper terminates and reaps it at exit,
-# ready or still starting.
-
-_WORKERS: Optional[int] = None
+# imports the caller's main module. A helper is started only where this
+# process may use two CPUs (gptest._two_cpus, the rule gptest's own second
+# thread follows), so a multiprocessing child (a Pool or
+# ProcessPoolExecutor worker), whose parent already spreads the work,
+# runs serially. Two processes is the only size measured, so there is
+# never more than one helper. The helper lives as long as this process,
+# and _stop_helper terminates and reaps it at exit, ready or still
+# starting.
 # the helper's interpreter arguments; this process's sys.path follows them
 _HELPER_ARGS = (
     "-c", "import sys; sys.path[:] = sys.argv[1:]; from pairdom.montecarlo import _serve; _serve()"
@@ -388,13 +386,6 @@ def _forget_helper() -> None:
 
 if hasattr(os, "register_at_fork"):  # a forked child must not share its parent's helper
     os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _wants_helper() -> bool:
-    """Whether this process shares its replications with a helper."""
-    if _WORKERS is not None:
-        return _WORKERS == 2
-    return gptest._two_cpus()
 
 
 class _Helper:
@@ -468,7 +459,7 @@ def _start_helper() -> Optional[_Helper]:
     """This process's helper, started if missing and not waited for, or None
     where this process runs every replication itself."""
     global _helper, _start_failed
-    if not _wants_helper():
+    if not gptest._two_cpus():
         return None
     if _helper is None and not _start_failed:
         try:
@@ -502,6 +493,6 @@ def _serve() -> None:
         except EOFError:
             return
         try:
-            reply = _stwj_share(cfg, replications)
+            reply = _stwj_tally(cfg, replications)
         except Exception as exc:  # raised again in the parent
             reply = exc

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pairdom
+from pairdom import gptest
 from pairdom.baselines import _run_bounds
 from pairdom.empirical import PairedSample
 from pairdom.errors import ParameterError
@@ -89,7 +90,8 @@ def run_fresh(code: str, script: Path | None = None, timeout: float = 120,
     interpreter runs in that directory.
     """
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    # no empty entry: it would put the working directory on the path
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if script is None:
         argv = [sys.executable, "-c", code]
     else:
@@ -98,6 +100,12 @@ def run_fresh(code: str, script: Path | None = None, timeout: float = 120,
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def may_use_two_cpus(monkeypatch, on: bool) -> None:
+    """Set whether this process may use two CPUs: the one rule, gptest._two_cpus,
+    that starts gptest's second thread and the harness's helper process."""
+    monkeypatch.setattr(gptest, "_two_cpus", lambda: on)
 
 
 def record_thread_starts(monkeypatch) -> list[threading.Thread]:

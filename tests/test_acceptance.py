@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import dense_covariance, random_discrete_bivariate, stwj_holds_dense_scan
-from pairdom import gptest, montecarlo
+from conftest import (
+    dense_covariance,
+    may_use_two_cpus,
+    random_discrete_bivariate,
+    stwj_holds_dense_scan,
+)
+from pairdom import gptest
 from pairdom.distributions import BivariateNormalParams
 from pairdom.finance import (
     align,
@@ -77,7 +82,7 @@ def table_reports():
     # every dominance test in this process; criterion 15 reruns the table
     # sharing them with a helper process
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_WORKERS", 1)
+        may_use_two_cpus(mp, False)
         return {name: run_rejection_experiment(experiment_config(name)) for name in TABLE_CONFIGS}
 
 
@@ -270,7 +275,7 @@ def test_criterion_15_byte_identical_artifacts(table_reports, tmp_path, monkeypa
     mismatches = []
     # the rerun shares the dominance tests with a helper process where there
     # are two CPUs; the fixture ran them all in this one
-    monkeypatch.setattr(montecarlo, "_WORKERS", min(2, os.cpu_count() or 1))
+    may_use_two_cpus(monkeypatch, (os.cpu_count() or 1) >= 2)
     for name in TABLE_CONFIGS:
         rerun = run_rejection_experiment(experiment_config(name))
         first_csv = table_reports[name].to_csv_text().encode()

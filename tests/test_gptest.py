@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import EmpiricalSurvival, dense_covariance, record_thread_starts, survival_at
+from conftest import (
+    EmpiricalSurvival,
+    dense_covariance,
+    may_use_two_cpus,
+    record_thread_starts,
+    survival_at,
+)
 from pairdom import gptest
 from pairdom.empirical import PairedSample, statistic_and_t_star
 from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
@@ -35,7 +41,7 @@ def unit_variance_cov():
 def force_threads(monkeypatch, on: bool) -> None:
     """Make pvalue_bounds share every run without an early stop over two
     segments or more between two threads (on), or draw on one thread."""
-    monkeypatch.setattr(gptest, "_two_cpus", lambda: on)
+    may_use_two_cpus(monkeypatch, on)
     if on:
         monkeypatch.setattr(gptest, "_THREAD_NORMALS", 0)
 
@@ -308,6 +314,18 @@ class TestEarlyStop:
         count = np.count_nonzero(z > 0) + 0.5 * np.count_nonzero(z <= 0)
         assert count / 2000 >= 0.05
         assert pvalue_bounds(cov, 0.0, 2000, seed=5, stop_at=0.05) == count / 2000
+
+    @pytest.mark.parametrize("stop_at", [0.0, -1.0, float("nan")])
+    def test_stop_at_must_be_positive(self, stop_at):
+        # any count reaches stop_at <= 0 after the first block, which would
+        # return a p1 that rejects where the full test (p1 0.9934) does not
+        s = case_sample("C1", 100, seed=3)
+        assert gptest.test_st_wj(s, seed=5).p1 == 0.9934
+        cov = build_covariance(build_grid(s, 100), s)
+        with pytest.raises(ParameterError, match="stop_at must be > 0"):
+            pvalue_bounds(cov, statistic_and_t_star(s)[0], 2000, seed=5, stop_at=stop_at)
+        with pytest.raises(ParameterError, match="stop_at must be > 0"):
+            gptest.test_st_wj(s, seed=5, stop_at=stop_at)
 
 
 class _RecordingRng:
@@ -584,13 +602,13 @@ class TestTwoThreads:
         assert wide.dim * 4_000 >= 2**18 > wide.dim * 2_048
         narrow = cov_of(ordinal_sample(), None)
         assert narrow.dim * 10_000 < 2**18
-        monkeypatch.setattr(gptest, "_two_cpus", lambda: True)
+        may_use_two_cpus(monkeypatch, True)
         assert threaded(wide, 4_000) == 1
         assert threaded(wide, 4_000, stop_at=1.5) == 1
         assert threaded(wide, 4_000, stop_at=0.99) == 0
         assert threaded(wide, 2_048) == 0
         assert threaded(narrow, 10_000) == 0
-        monkeypatch.setattr(gptest, "_two_cpus", lambda: False)
+        may_use_two_cpus(monkeypatch, False)
         assert threaded(wide, 4_000) == 0
 
     def test_two_cpus_outside_a_multiprocessing_child(self, monkeypatch):

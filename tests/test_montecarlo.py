@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from conftest import record_thread_starts, run_fresh
+from conftest import may_use_two_cpus, record_thread_starts, run_fresh
 
 from pairdom import gptest, montecarlo
 from pairdom.distributions import BivariateNormalParams, Pareto, Weibull
@@ -327,30 +327,35 @@ class TestChunks:
         run_rejection_experiment(small_config("C5", 30, 3, tests=("wilcoxon",)))
         assert shapes == [(1, 30)] * 3
 
-    @pytest.mark.parametrize("tests, calls", [(("t", "wilcoxon"), 4), (("stwj", "t"), 8)])
-    def test_the_test_seed_is_derived_only_for_stwj(self, monkeypatch, tests, calls):
+    # samples: the (r, 0) derivations; a cell with stwj and a baseline draws
+    # each sample once per pass
+    @pytest.mark.parametrize("tests, samples", [(("t", "wilcoxon"), 4), (("stwj", "t"), 8)])
+    def test_the_test_seed_is_derived_only_for_stwj(self, monkeypatch, tests, samples):
         derived = []
 
         def counting(*parts):
-            derived.append(parts)
+            derived.append(parts[1:])
             return derive_seed(*parts)
 
         monkeypatch.setattr(montecarlo, "derive_seed", counting)
-        # one worker: a helper process would derive its seeds out of sight
-        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        # one process: a helper process would derive its seeds out of sight
+        may_use_two_cpus(monkeypatch, False)
         run_rejection_experiment(small_config("C2", 20, 4, tests=tests))
-        assert len(derived) == calls
+        assert sum(kind == 1 for _, kind in derived) == (4 if "stwj" in tests else 0)
+        assert sum(kind == 0 for _, kind in derived) == samples
 
 
 def local_tests(monkeypatch) -> list[int]:
-    """Record the replications whose dominance test runs in this process."""
+    """Record the replications whose dominance test runs in this process:
+    those whose test seed (master_seed, r, 1) is derived here."""
     tested = []
 
-    def recording(cfg, r, sample, tally, tally_fn=montecarlo._tally_stwj):
-        tested.append(r)
-        tally_fn(cfg, r, sample, tally)
+    def recording(seed, r, kind):
+        if kind == 1:
+            tested.append(r)
+        return derive_seed(seed, r, kind)
 
-    monkeypatch.setattr(montecarlo, "_tally_stwj", recording)
+    monkeypatch.setattr(montecarlo, "derive_seed", recording)
     return tested
 
 
@@ -360,9 +365,9 @@ RAISING_HELPER = (
     "import sys\n"
     "sys.path[:] = sys.argv[1:]\n"
     "from pairdom import montecarlo\n"
-    "def share(cfg, replications):\n"
+    "def tally(cfg, replications):\n"
     "    raise ArithmeticError('no share today')\n"
-    "montecarlo._stwj_share = share\n"
+    "montecarlo._stwj_tally = tally\n"
     "montecarlo._serve()\n",
 )
 
@@ -380,13 +385,13 @@ class TestHelpers:
 
     @pytest.fixture
     def helper(self, monkeypatch):
-        """A ready helper process, for experiments made with two workers."""
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        """A ready helper process, for experiments made with two processes."""
+        may_use_two_cpus(monkeypatch, True)
         return self.ready_helper()
 
     def serial(self, monkeypatch, cfg) -> RejectionReport:
         with monkeypatch.context() as mp:
-            mp.setattr(montecarlo, "_WORKERS", 1)
+            may_use_two_cpus(mp, False)
             return run_rejection_experiment(cfg)
 
     # a mixed stwj+t+wilcoxon cell and an all-degenerate one
@@ -403,6 +408,22 @@ class TestHelpers:
         write_json(serial.to_json_dict(), tmp_path / "serial.json")
         write_json(shared.to_json_dict(), tmp_path / "shared.json")
         assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "shared.json").read_bytes()
+
+    # the passes know nothing of each other: each test's rates and failures
+    # in a cell with several tests are those of a cell with that test alone
+    @pytest.mark.parametrize("shared", [False, True], ids=["serial", "shared"])
+    @pytest.mark.parametrize("cfg", [TestChunks.CONFIGS[0], TestChunks.CONFIGS[2]],
+                             ids=["mixed", "degenerate"])
+    def test_a_mixed_cell_reports_each_test_as_alone(self, monkeypatch, cfg, shared):
+        may_use_two_cpus(monkeypatch, shared)
+        if shared:
+            self.ready_helper()
+        mixed = run_rejection_experiment(cfg)
+        for test in cfg.tests:
+            alone = run_rejection_experiment(dataclasses.replace(cfg, tests=(test,)))
+            assert ([mixed.rate(test, lv) for lv in cfg.levels]
+                    == [alone.rate(test, lv) for lv in cfg.levels])
+            assert mixed.failures[test] == alone.failures[test]
 
     def test_a_helper_that_dies_has_its_share_run_here(self, monkeypatch, helper):
         cfg = small_config("C2", 30, 12)
@@ -436,7 +457,7 @@ class TestHelpers:
         cfg = small_config("C2", 30, 12)
         serial = self.serial(monkeypatch, cfg)
         montecarlo._stop_helper()  # so that the next helper is a raising one
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        may_use_two_cpus(monkeypatch, True)
         with monkeypatch.context() as mp:
             mp.setattr(montecarlo, "_HELPER_ARGS", RAISING_HELPER)
             helper = self.ready_helper()
@@ -458,23 +479,24 @@ class TestHelpers:
         monkeypatch.setattr(montecarlo, "_Helper", lambda: started.append(object()) or started[-1])
         monkeypatch.setattr(montecarlo, "_helper", None)
         monkeypatch.setattr(montecarlo, "_start_failed", False)
-        assert montecarlo._wants_helper()
         assert montecarlo._start_helper() is montecarlo._start_helper() is started[0]
         assert len(started) == 1
-        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-        assert not montecarlo._wants_helper()
+        # the helper follows gptest's rule for two CPUs
+        may_use_two_cpus(monkeypatch, False)
         assert montecarlo._start_helper() is None
 
     def test_one_usable_cpu_starts_no_helper(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert not montecarlo._wants_helper()
+        monkeypatch.setattr(montecarlo, "_Helper", lambda: pytest.fail("started a helper"))
+        monkeypatch.setattr(montecarlo, "_helper", None)
+        monkeypatch.setattr(montecarlo, "_start_failed", False)
+        assert montecarlo._start_helper() is None
 
     def test_replications_start_no_thread(self, monkeypatch):
         # a replication's test stops early (stop_at < 1), here or in the helper
-        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-        monkeypatch.setattr(gptest, "_two_cpus", lambda: True)
+        may_use_two_cpus(monkeypatch, True)
         started = record_thread_starts(monkeypatch)
         cfg = dataclasses.replace(small_config("C3", 100, 4), n_sims=10_000)
         run_rejection_experiment(cfg)
@@ -489,11 +511,11 @@ class TestHelpers:
 SHARED = """
 import time
 
-from pairdom import montecarlo
+from pairdom import gptest, montecarlo
 
 cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=6,
                                   master_seed=1, n_sims=200)
-montecarlo._WORKERS = 2
+gptest._two_cpus = lambda: True
 first = montecarlo.run_rejection_experiment(cfg)
 deadline = time.monotonic() + 60
 while not montecarlo._helper.is_ready() and time.monotonic() < deadline:
@@ -514,15 +536,15 @@ with open(sys.argv[0] + ".runs", "a") as fh:
 
 # The helper's interpreter sleeps, so it is still starting when the parent exits.
 SLOW_HELPER = """
-from pairdom import montecarlo
+from pairdom import gptest, montecarlo
 
 cfg = montecarlo.ExperimentConfig(montecarlo.scenario("C2"), n=20, replications=6,
                                   master_seed=1, n_sims=200)
 montecarlo._HELPER_ARGS = ("-c", "import time; time.sleep(300)")
-montecarlo._WORKERS = 2
+gptest._two_cpus = lambda: True
 shared = montecarlo.run_rejection_experiment(cfg)
 pids = [montecarlo._helper.process.pid]
-montecarlo._WORKERS = 1
+gptest._two_cpus = lambda: False
 print(shared.to_csv_text() == montecarlo.run_rejection_experiment(cfg).to_csv_text())
 print(*pids)
 """
@@ -531,7 +553,7 @@ print(*pids)
 IN_A_POOL = """
 import multiprocessing
 
-from pairdom import montecarlo
+from pairdom import gptest, montecarlo
 
 
 def run(cfg):
@@ -543,7 +565,7 @@ if __name__ == "__main__":
                                       master_seed=1, n_sims=200)
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         csv, no_helper = pool.apply(run, (cfg,))
-    montecarlo._WORKERS = 1
+    gptest._two_cpus = lambda: False
     print(no_helper, csv == montecarlo.run_rejection_experiment(cfg).to_csv_text())
     # the pool's spawn started a resource tracker: reap it too
     from multiprocessing import resource_tracker
