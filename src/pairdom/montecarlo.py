@@ -17,30 +17,27 @@ Replication r of an experiment draws its sample with seed
 which process runs a replication and of any parallelism in the caller.
 
 Each test fills one tally, [rejections per level..., failures], in one
-of two passes that know nothing of each other. The baseline pass runs
-the replications in chunks of at most _CHUNK_BYTES of differences y - x,
-and at least one row, so memory is bounded for any replications x n.
-Each baseline (t, Wilcoxon) runs once per chunk through
-baselines.paired_t_rows / wilcoxon_rows, whose row results equal the
-one-sample functions' bit for bit, with degenerate rows counted as
-failures. The dominance-test pass runs every replication through one
-routine, _stwj_tally, in this process or in the helper below. A cell
-that mixes "stwj" with a baseline draws each sample once per pass; a
-sample costs a small fraction of a dominance test. Counting is
-commutative, so the report depends neither on the chunk size nor on
-which process ran a replication.
+of two passes. The baseline pass draws the replications in chunks of at
+most _CHUNK_BYTES of differences y - x, and at least one row, so memory
+is bounded for any replications x n. Each baseline (t, Wilcoxon) runs
+once per chunk through baselines.paired_t_rows / wilcoxon_rows, whose
+row results equal the one-sample functions' bit for bit, with degenerate
+rows counted as failures. The dominance-test pass walks the same chunks
+and runs each replication through one routine, _stwj_tally, on the
+chunk's sample in this process or in the helper below, so this process
+draws each sample once. Counting is commutative, so the report depends
+neither on the chunk size nor on which process ran a replication.
 
 The dominance test is nearly all of the cost, so its pass shares
 replications with a helper process where this process may use two CPUs.
 The helper is a fresh interpreter running _serve() below with this
-process's import path, started on the first call that wants it and kept
-for later calls; it never imports the caller's main module, so scripts
-need no ``__main__`` guard. A call never waits for the helper to start.
-Once it is ready, it takes every other replication still to run and
-returns its tally, which is added to this process's; if it dies, its
-share runs here. The baseline pass, and cells without "stwj", never
-touch the helper. The helper is terminated and reaped when the
-interpreter exits.
+process's import path, started when the first dominance-test pass
+begins and kept for later calls; it never imports the caller's main
+module, so scripts need no ``__main__`` guard. A call never waits for
+the helper to start. Once it is ready, it takes every other replication
+still to run and returns its tally; if it dies, its share runs here.
+Cells without "stwj" never touch the helper. The helper is terminated
+and reaped when the interpreter exits.
 
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
@@ -267,16 +264,17 @@ def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
 
 
 def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
-    """Run the replications and aggregate rejection rates.
-
-    The baseline pass fills a tally per baseline and the dominance-test
-    pass the tally of "stwj"; the report divides each by the replications.
-    """
+    """Run the replications and aggregate rejection rates: the baseline
+    pass fills each baseline's tally, chunk by chunk, and the
+    dominance-test pass, walking those chunks, the tally of "stwj"."""
     started = time.perf_counter()
-    baselines = [test for test in cfg.tests if test != "stwj"]
-    tallies = _baseline_tallies(cfg, baselines) if baselines else {}
-    if "stwj" in cfg.tests:
-        tallies["stwj"] = _stwj_pass(cfg)
+    tallies = {test: [0] * (len(cfg.levels) + 1) for test in cfg.tests}
+    chunks = _baseline_pass(cfg, {test: tallies[test] for test in cfg.tests if test != "stwj"})
+    if "stwj" in tallies:
+        _dominance_pass(cfg, chunks, tallies["stwj"])
+    else:
+        for _ in chunks:  # the baseline pass runs as its chunks are taken
+            pass
     rates = {(test, level): tallies[test][i] / cfg.replications
              for test in cfg.tests for i, level in enumerate(cfg.levels)}
     failures = {test: tallies[test][-1] for test in cfg.tests}
@@ -288,45 +286,53 @@ def _sample(cfg: ExperimentConfig, r: int) -> PairedSample:
     return generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
 
 
-def _baseline_tallies(cfg: ExperimentConfig, tests: list[str]) -> dict[str, list[int]]:
-    """The baseline pass: the tally of each of tests, run once per chunk
-    of replications on the chunk's rows of differences y - x."""
-    tallies = {test: [0] * (len(cfg.levels) + 1) for test in tests}
+def _baseline_pass(cfg: ExperimentConfig, tallies: dict[str, list[int]]):
+    """The baseline pass, as a generator: it yields each chunk's replications
+    with their samples, by replication, then adds the chunk to each baseline's
+    tally, run once on the chunk's rows of y - x. With no baseline it draws
+    nothing and yields all replications as one chunk."""
+    if not tallies:
+        yield range(cfg.replications), {}
+        return
     chunk = max(1, _CHUNK_BYTES // (8 * cfg.n))
     for first in range(0, cfg.replications, chunk):
-        diffs = np.empty((min(chunk, cfg.replications - first), cfg.n))
-        for i, row in enumerate(diffs):
-            sample = _sample(cfg, first + i)
+        rows = range(first, min(first + chunk, cfg.replications))
+        samples = {r: _sample(cfg, r) for r in rows}
+        yield rows, samples
+        diffs = np.empty((len(rows), cfg.n))
+        for row, sample in zip(diffs, samples.values()):
             np.subtract(sample.y, sample.x, out=row)
         for test, tally in tallies.items():
-            rows = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
+            result = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
             for i, level in enumerate(cfg.levels):
-                tally[i] += int(np.count_nonzero(~rows.failed & (rows.p_value < level)))
-            tally[-1] += int(np.count_nonzero(rows.failed))
-    return tallies
+                tally[i] += int(np.count_nonzero(~result.failed & (result.p_value < level)))
+            tally[-1] += int(np.count_nonzero(result.failed))
 
 
-def _stwj_pass(cfg: ExperimentConfig) -> list[int]:
-    """The dominance-test pass: the tally of every replication. From the
-    replication at which the helper is ready, the helper takes every
-    other one still to run."""
-    tally = [0] * (len(cfg.levels) + 1)
+def _dominance_pass(cfg: ExperimentConfig, chunks, tally: list[int]) -> None:
+    """The dominance-test pass: add every replication to tally. It walks
+    the baseline pass's chunks and tests this process's replications of
+    each on the samples drawn there. From the replication at which the
+    helper is ready, the helper takes every other one still to run."""
     todo, share = range(cfg.replications), None
     # a call made while another thread shares with the helper runs serially
     sharing = _helper_lock.acquire(blocking=False)
     try:
+        # started before the first chunk is drawn, so it warms up meanwhile
         helper = _start_helper() if sharing else None
-        while todo:
-            if helper is not None and share is None and helper.is_ready():
-                share, todo = todo[1::2], todo[::2]
-                helper.submit(cfg, share)
-            tally = [a + b for a, b in zip(tally, _stwj_tally(cfg, todo[:1]))]
-            todo = todo[1:]
+        for rows, samples in chunks:
+            while todo and todo[0] < rows.stop:
+                if helper is not None and share is None and helper.is_ready():
+                    share, todo = todo[1::2], todo[::2]
+                    helper.submit(cfg, share)
+                mine = _stwj_tally(cfg, todo[:1], samples)
+                tally[:] = [a + b for a, b in zip(tally, mine)]
+                todo = todo[1:]
         if share is not None:
             shared = helper.result()
             if shared is None:  # the helper is gone: run its share here
                 shared = _stwj_tally(cfg, share)
-            tally = [a + b for a, b in zip(tally, shared)]
+            tally[:] = [a + b for a, b in zip(tally, shared)]
     except BaseException:
         if share is not None:  # its reply would be read by a later call
             helper.stop()
@@ -334,15 +340,16 @@ def _stwj_pass(cfg: ExperimentConfig) -> list[int]:
     finally:
         if sharing:
             _helper_lock.release()
-    return tally
 
 
-def _stwj_tally(cfg: ExperimentConfig, replications: range) -> list[int]:
+def _stwj_tally(cfg: ExperimentConfig, replications: range,
+                samples: Optional[dict[int, PairedSample]] = None) -> list[int]:
     """The dominance-test tally of some replications, in this process or
-    the helper: a rejection per level at which p1 < level, or a failure."""
+    the helper: a rejection per level at which p1 < level, or a failure.
+    A replication's sample is taken from samples if it is there."""
     tally = [0] * (len(cfg.levels) + 1)
     for r in replications:
-        sample = _sample(cfg, r)
+        sample = samples[r] if samples and r in samples else _sample(cfg, r)
         try:
             result = gptest.test_st_wj(
                 sample, cfg.k, cfg.n_sims,
@@ -359,15 +366,12 @@ def _stwj_tally(cfg: ExperimentConfig, replications: range) -> list[int]:
 # The helper process: a fresh interpreter that runs _serve() and exchanges
 # pickles with this process over its stdin and stdout. Its sys.path is this
 # process's, passed as arguments, so it imports pairdom and numpy from
-# where this process did, never from its working directory, and it never
-# imports the caller's main module. A helper is started only where this
-# process may use two CPUs (gptest._two_cpus, the rule gptest's own second
-# thread follows), so a multiprocessing child (a Pool or
-# ProcessPoolExecutor worker), whose parent already spreads the work,
-# runs serially. Two processes is the only size measured, so there is
-# never more than one helper. The helper lives as long as this process,
-# and _stop_helper terminates and reaps it at exit, ready or still
-# starting.
+# where this process did, never from its working directory. It is started
+# only where this process may use two CPUs (gptest._two_cpus, the rule
+# gptest's own second thread follows), so a multiprocessing child, whose
+# parent already spreads the work, runs serially. Two processes is the only
+# size measured, so there is never more than one helper; _stop_helper
+# terminates and reaps it at exit, ready or still starting.
 # the helper's interpreter arguments; this process's sys.path follows them
 _HELPER_ARGS = (
     "-c", "import sys; sys.path[:] = sys.argv[1:]; from pairdom.montecarlo import _serve; _serve()"

@@ -327,22 +327,42 @@ class TestChunks:
         run_rejection_experiment(small_config("C5", 30, 3, tests=("wilcoxon",)))
         assert shapes == [(1, 30)] * 3
 
-    # samples: the (r, 0) derivations; a cell with stwj and a baseline draws
-    # each sample once per pass
-    @pytest.mark.parametrize("tests, samples", [(("t", "wilcoxon"), 4), (("stwj", "t"), 8)])
-    def test_the_test_seed_is_derived_only_for_stwj(self, monkeypatch, tests, samples):
+    @pytest.mark.parametrize("tests, calls", [(("t", "wilcoxon"), 4), (("stwj", "t"), 8)])
+    def test_the_test_seed_is_derived_only_for_stwj(self, monkeypatch, tests, calls):
         derived = []
 
         def counting(*parts):
-            derived.append(parts[1:])
+            derived.append(parts)
             return derive_seed(*parts)
 
         monkeypatch.setattr(montecarlo, "derive_seed", counting)
         # one process: a helper process would derive its seeds out of sight
         may_use_two_cpus(monkeypatch, False)
         run_rejection_experiment(small_config("C2", 20, 4, tests=tests))
-        assert sum(kind == 1 for _, kind in derived) == (4 if "stwj" in tests else 0)
-        assert sum(kind == 0 for _, kind in derived) == samples
+        assert len(derived) == calls
+
+    def test_a_mixed_cell_starts_the_helper_first_and_draws_each_sample_once(self, monkeypatch):
+        # the helper warms up while the first chunk is drawn; each chunk's
+        # dominance tests reuse its samples and run before its baselines
+        events = []
+
+        def counting(*parts):
+            events.append(parts[1:])
+            return derive_seed(*parts)
+
+        def wilcoxon(diffs, rows_fn=montecarlo.wilcoxon_rows):
+            events.append("wilcoxon")
+            return rows_fn(diffs)
+
+        monkeypatch.setattr(montecarlo, "derive_seed", counting)
+        monkeypatch.setattr(montecarlo, "wilcoxon_rows", wilcoxon)
+        monkeypatch.setattr(montecarlo, "_start_helper", lambda: events.append("helper"))
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * 20 * 3)
+        run_rejection_experiment(small_config("C2", 20, 8, tests=("wilcoxon", "stwj")))
+        expected = ["helper"]
+        for rows in ([0, 1, 2], [3, 4, 5], [6, 7]):
+            expected += [(r, 0) for r in rows] + [(r, 1) for r in rows] + ["wilcoxon"]
+        assert events == expected
 
 
 def local_tests(monkeypatch) -> list[int]:
@@ -409,8 +429,8 @@ class TestHelpers:
         write_json(shared.to_json_dict(), tmp_path / "shared.json")
         assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "shared.json").read_bytes()
 
-    # the passes know nothing of each other: each test's rates and failures
-    # in a cell with several tests are those of a cell with that test alone
+    # each test's rates and failures in a cell with several tests are
+    # those of a cell with that test alone, serially or with a ready helper
     @pytest.mark.parametrize("shared", [False, True], ids=["serial", "shared"])
     @pytest.mark.parametrize("cfg", [TestChunks.CONFIGS[0], TestChunks.CONFIGS[2]],
                              ids=["mixed", "degenerate"])
@@ -497,6 +517,7 @@ class TestHelpers:
     def test_replications_start_no_thread(self, monkeypatch):
         # a replication's test stops early (stop_at < 1), here or in the helper
         may_use_two_cpus(monkeypatch, True)
+        monkeypatch.setattr(montecarlo, "_start_helper", lambda: None)
         started = record_thread_starts(monkeypatch)
         cfg = dataclasses.replace(small_config("C3", 100, 4), n_sims=10_000)
         run_rejection_experiment(cfg)
