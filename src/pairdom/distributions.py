@@ -21,6 +21,18 @@ A bivariate normal's covariance is checked and factorized once, when its
 BivariateNormalParams is built, so a covariance that constructs can be
 sampled; sample_bivariate_normal reuses the stored factor.
 
+Row-wise form. sample_bivariate_normal_rows, sample_clayton_uniform_rows
+and sample_clayton_rows draw one sample per seed at once, as rows of
+(R, n) arrays, and the one-sample functions sample_bivariate_normal,
+sample_clayton_uniforms and sample_clayton_bivariate call them with one
+seed, so there is one code path. Row i is filled from make_rng(seeds[i])
+alone, with the calls and shapes of a one-sample draw, so each seed's
+stream is unchanged. The rest runs once on the whole array: the nudge
+into the open interval, the Clayton inversion and clip, the quantiles,
+and the affine map as one stacked (R, n, 2) @ chol.T, which makes the
+2x2 product of each row as a one-sample draw does. Each row therefore
+equals the one-sample result bit for bit.
+
 scipy.special is imported only in the Normal branches of cdf and
 quantile, so importing the package does not load it.
 """
@@ -46,8 +58,11 @@ __all__ = [
     "cdf",
     "quantile",
     "sample_bivariate_normal",
+    "sample_bivariate_normal_rows",
     "sample_clayton_uniforms",
+    "sample_clayton_uniform_rows",
     "sample_clayton_bivariate",
+    "sample_clayton_rows",
     "clayton_cdf",
     "clayton_partial_u",
 ]
@@ -185,35 +200,63 @@ class ClaytonParams:
             raise ParameterError(f"clayton theta must be > 0, got {self.theta}")
 
 
-def sample_bivariate_normal(params: BivariateNormalParams, n: int, seed: int) -> PairedSample:
-    """n draws of a bivariate normal pair; bit-identical for a fixed seed."""
+def _check_size(n: int) -> None:
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    rng = make_rng(seed)
-    z = rng.standard_normal((n, 2))
+
+
+def sample_bivariate_normal_rows(
+    params: BivariateNormalParams, n: int, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of shape (len(seeds), n): row i holds n draws of a bivariate
+    normal pair from seed seeds[i]."""
+    _check_size(n)
+    z = np.empty((len(seeds), n, 2))
+    for row, seed in zip(z, seeds):
+        make_rng(seed).standard_normal(out=row)
     xy = params.mu + z @ params.chol.T
-    return PairedSample(xy[:, 0], xy[:, 1])
+    return xy[..., 0], xy[..., 1]
 
 
-def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    # rng.random lives in [0, 1); nudge exact zeros into the open interval
-    u = rng.random(n)
+def sample_bivariate_normal(params: BivariateNormalParams, n: int, seed: int) -> PairedSample:
+    """n draws of a bivariate normal pair; bit-identical for a fixed seed."""
+    x, y = sample_bivariate_normal_rows(params, n, [seed])
+    return PairedSample(x[0], y[0])
+
+
+def sample_clayton_uniform_rows(theta: float, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """U and V of shape (len(seeds), n): row i holds n pairs from the Clayton
+    copula, by conditional inversion, from seed seeds[i]."""
+    th = ClaytonParams(theta).theta
+    _check_size(n)
+    u = np.empty((len(seeds), n))
+    w = np.empty_like(u)
+    for u_row, w_row, seed in zip(u, w, seeds):
+        rng = make_rng(seed)
+        rng.random(out=u_row)
+        rng.random(out=w_row)
+    # rng.random lives in [0, 1) on a grid of 2**-53, so this lifts exactly
+    # the zeros into the open interval
     tiny = np.finfo(float).tiny
-    return np.where(u <= 0.0, tiny, u)
+    np.maximum(u, tiny, out=u)
+    np.maximum(w, tiny, out=w)
+    v = ((w ** (-th / (1.0 + th)) - 1.0) * u ** (-th) + 1.0) ** (-1.0 / th)
+    return u, np.clip(v, tiny, 1.0 - np.finfo(float).epsneg)
 
 
 def sample_clayton_uniforms(theta: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n pairs (U, V) from the Clayton copula, by conditional inversion."""
-    params = ClaytonParams(theta)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    th = params.theta
-    rng = make_rng(seed)
-    u = _open_uniforms(rng, n)
-    w = _open_uniforms(rng, n)
-    v = ((w ** (-th / (1.0 + th)) - 1.0) * u ** (-th) + 1.0) ** (-1.0 / th)
-    v = np.clip(v, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
-    return u, v
+    u, v = sample_clayton_uniform_rows(theta, n, [seed])
+    return u[0], v[0]
+
+
+def sample_clayton_rows(
+    theta: float, mx: MarginalDist, my: MarginalDist, n: int, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of shape (len(seeds), n): (quantile(mx, U), quantile(my, V))
+    for the rows (U, V) of sample_clayton_uniform_rows."""
+    u, v = sample_clayton_uniform_rows(theta, n, seeds)
+    return quantile(mx, u), quantile(my, v)
 
 
 def sample_clayton_bivariate(
@@ -224,8 +267,8 @@ def sample_clayton_bivariate(
     Returns (quantile(mx, U), quantile(my, V)) for (U, V) from
     sample_clayton_uniforms; deterministic for a fixed seed.
     """
-    u, v = sample_clayton_uniforms(theta, n, seed)
-    return PairedSample(quantile(mx, u), quantile(my, v))
+    x, y = sample_clayton_rows(theta, mx, my, n, [seed])
+    return PairedSample(x[0], y[0])
 
 
 def clayton_cdf(theta: float, u, v):

@@ -19,12 +19,16 @@ which process runs a replication and of any parallelism in the caller.
 Each test fills one tally, [rejections per level..., failures], in one
 of two passes. The baseline pass draws the replications in chunks of at
 most _CHUNK_BYTES of differences y - x, and at least one row, so memory
-is bounded for any replications x n. Each baseline (t, Wilcoxon) runs
+is bounded for any replications x n. Each chunk is drawn with one call
+of the scenario's row-wise sampler (distributions.sample_bivariate_normal_rows
+or sample_clayton_rows), whose row r is drawn from seed
+(master_seed, r, 0) alone and equals generate_scenario's sample bit for
+bit, so every stream is unchanged. Each baseline (t, Wilcoxon) runs
 once per chunk through baselines.paired_t_rows / wilcoxon_rows, whose
 row results equal the one-sample functions' bit for bit, with degenerate
 rows counted as failures. The dominance-test pass walks the same chunks
 and runs each replication through one routine, _stwj_tally, on the
-chunk's sample in this process or in the helper below, so this process
+chunk's rows in this process or in the helper below, so this process
 draws each sample once. Counting is commutative, so the report depends
 neither on the chunk size nor on which process ran a replication.
 
@@ -75,8 +79,8 @@ from .distributions import (
     MarginalDist,
     Pareto,
     Weibull,
-    sample_bivariate_normal,
-    sample_clayton_bivariate,
+    sample_bivariate_normal_rows,
+    sample_clayton_rows,
 )
 from .empirical import PairedSample
 from .errors import CapacityError, DegenerateSampleError, ParameterError
@@ -257,10 +261,17 @@ def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
     n > 2**23, past 64 MiB per coordinate, raises CapacityError before
     anything is drawn.
     """
+    x, y = _draw(spec, n, [seed])
+    return PairedSample(x[0], y[0])
+
+
+def _draw(spec: ScenarioSpec, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of shape (len(seeds), n), row i drawn from a scenario with
+    seed seeds[i] as generate_scenario draws it; n is checked first."""
     _check_n(n)
     if spec.normal is not None:
-        return sample_bivariate_normal(spec.normal, n, seed)
-    return sample_clayton_bivariate(spec.theta, spec.marginal_x, spec.marginal_y, n, seed)
+        return sample_bivariate_normal_rows(spec.normal, n, seeds)
+    return sample_clayton_rows(spec.theta, spec.marginal_x, spec.marginal_y, n, seeds)
 
 
 def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
@@ -287,21 +298,23 @@ def _sample(cfg: ExperimentConfig, r: int) -> PairedSample:
 
 
 def _baseline_pass(cfg: ExperimentConfig, tallies: dict[str, list[int]]):
-    """The baseline pass, as a generator: it yields each chunk's replications
-    with their samples, by replication, then adds the chunk to each baseline's
-    tally, run once on the chunk's rows of y - x. With no baseline it draws
-    nothing and yields all replications as one chunk."""
+    """The baseline pass, as a generator: it draws each chunk's samples with
+    one _draw call and yields the chunk's replications with their rows x and
+    y, then adds the chunk to each baseline's tally, run once on the chunk's
+    rows of y - x. With no baseline it draws nothing and yields all
+    replications as one chunk, with x and y None."""
     if not tallies:
-        yield range(cfg.replications), {}
+        yield range(cfg.replications), None, None
         return
     chunk = max(1, _CHUNK_BYTES // (8 * cfg.n))
     for first in range(0, cfg.replications, chunk):
         rows = range(first, min(first + chunk, cfg.replications))
-        samples = {r: _sample(cfg, r) for r in rows}
-        yield rows, samples
-        diffs = np.empty((len(rows), cfg.n))
-        for row, sample in zip(diffs, samples.values()):
-            np.subtract(sample.y, sample.x, out=row)
+        x, y = _draw(cfg.scenario, cfg.n, [derive_seed(cfg.master_seed, r, 0) for r in rows])
+        # PairedSample's check, also for the rows that never become one
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ParameterError("sample values must be finite")
+        yield rows, x, y
+        diffs = y - x
         for test, tally in tallies.items():
             result = paired_t_rows(diffs) if test == "t" else wilcoxon_rows(diffs)
             for i, level in enumerate(cfg.levels):
@@ -320,12 +333,14 @@ def _dominance_pass(cfg: ExperimentConfig, chunks, tally: list[int]) -> None:
     try:
         # started before the first chunk is drawn, so it warms up meanwhile
         helper = _start_helper() if sharing else None
-        for rows, samples in chunks:
+        for rows, x, y in chunks:
             while todo and todo[0] < rows.stop:
                 if helper is not None and share is None and helper.is_ready():
                     share, todo = todo[1::2], todo[::2]
                     helper.submit(cfg, share)
-                mine = _stwj_tally(cfg, todo[:1], samples)
+                r = todo[0]
+                drawn = {} if x is None else {r: PairedSample(x[r - rows.start], y[r - rows.start])}
+                mine = _stwj_tally(cfg, todo[:1], drawn)
                 tally[:] = [a + b for a, b in zip(tally, mine)]
                 todo = todo[1:]
         if share is not None:

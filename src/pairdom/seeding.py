@@ -34,8 +34,10 @@ def make_rng(seed: int, *stream: int, jump: int = 0) -> np.random.Generator:
     entropy = (_check_seed(seed), *(int(s) for s in stream))
     bits = np.random.PCG64(np.random.SeedSequence(entropy))
     # bits.jumped(jump) in place: jumped() first seeds a new PCG64 from OS
-    # entropy, which tripled the cost of a substream
-    bits.advance(jump * _PCG64_JUMP % 2**128)
+    # entropy, which tripled the cost of a substream. advance(0) changes
+    # nothing but costs a call on every sample's stream, so it is skipped.
+    if jump:
+        bits.advance(jump * _PCG64_JUMP % 2**128)
     return np.random.Generator(bits)
 
 

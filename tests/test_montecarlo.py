@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -13,7 +14,15 @@ from scipy.special import gamma as gamma_fn
 from conftest import may_use_two_cpus, record_thread_starts, run_fresh
 
 from pairdom import gptest, montecarlo
-from pairdom.distributions import BivariateNormalParams, Pareto, Weibull
+from pairdom.distributions import (
+    BivariateNormalParams,
+    Pareto,
+    Weibull,
+    sample_bivariate_normal,
+    sample_bivariate_normal_rows,
+    sample_clayton_bivariate,
+    sample_clayton_rows,
+)
 from pairdom.empirical import write_json
 from pairdom.errors import CapacityError, ParameterError
 from pairdom.montecarlo import (
@@ -26,6 +35,20 @@ from pairdom.montecarlo import (
     scenario,
 )
 from pairdom.seeding import derive_seed
+
+# SHA-256 of the x then y bytes of generate_scenario(scenario(case), 50,
+# seed=7), captured before the samplers drew by rows: a shift in any
+# scenario's stream fails here even where the rejection counts hold.
+SCENARIO_SHA256 = {
+    "C1": "c90d94ae5e98ff0852fc8bc7eab4c05edac3dcacf315295f436e3bfb72f5abdb",
+    "C2": "179075465f605bf753aacbbadc75ed00ec433a321d019906ec03f7e40ce3a556",
+    "C3": "3e45801036c80e18a8c1785bfb9a68fd6f157a2036e24d96e4c40f34c6d1331d",
+    "C4": "ba6011d812f6ea0badc51c5e9824a6a9392e28ed1a4d546b51ffbcbd4c4dc7eb",
+    "C5": "77bcdc89606cf6201893f14000e9068ba4eba70a25fbaa00548872f1a0af4d43",
+    "C6": "9ccd881315f10f618e81d7fc091355341c61aae9319b3f9d93948f924bcbface",
+    "C7": "6c4e0a9d2f846c7e19a1f41e6fd320de091c6c6f5ddc46a2f41ac3085f06f117",
+    "C8": "da1169d89b729482a683bab1f3ca16f7280ee7e153fc0d0ffdd0553afc9afaef",
+}
 
 
 class TestScenarioRegistry:
@@ -90,8 +113,8 @@ class TestGenerateScenario:
     def test_cap_is_64_mib_per_coordinate(self):
         assert montecarlo._MAX_N * 8 == 64 << 20
 
-    @pytest.mark.parametrize("case, sampler", [("C1", "sample_bivariate_normal"),
-                                               ("C5", "sample_clayton_bivariate")])
+    @pytest.mark.parametrize("case, sampler", [("C1", "sample_bivariate_normal_rows"),
+                                               ("C5", "sample_clayton_rows")])
     def test_n_beyond_the_cap_raises_before_drawing(self, monkeypatch, case, sampler):
         # a small cap stands in for 2**23, so no large sample is ever drawn
         monkeypatch.setattr(montecarlo, "_MAX_N", 40)
@@ -102,6 +125,30 @@ class TestGenerateScenario:
             generate_scenario(scenario(case), 41, seed=1)
         with pytest.raises(CapacityError, match="at most 40 floats"):
             ExperimentConfig(scenario(case), n=41, replications=1, master_seed=1)
+
+    @pytest.mark.parametrize("case", sorted(SCENARIO_SHA256))
+    def test_streams_are_pinned(self, case):
+        s = generate_scenario(scenario(case), 50, seed=7)
+        assert hashlib.sha256(s.x.tobytes() + s.y.tobytes()).hexdigest() == SCENARIO_SHA256[case]
+
+    @pytest.mark.parametrize("n", [2, 10, 200, 1000])
+    @pytest.mark.parametrize("case", sorted(SCENARIOS))
+    def test_each_row_equals_the_one_sample_draw(self, case, n):
+        spec = scenario(case)
+        # shuffled and far apart, so no row can lean on its neighbour's seed
+        seeds = [int(s) for s in np.random.default_rng(n).choice(10**12, size=60, replace=False)]
+        if spec.normal is not None:
+            x, y = sample_bivariate_normal_rows(spec.normal, n, seeds)
+            one = [sample_bivariate_normal(spec.normal, n, seed) for seed in seeds]
+        else:
+            margins = (spec.theta, spec.marginal_x, spec.marginal_y)
+            x, y = sample_clayton_rows(*margins, n, seeds)
+            one = [sample_clayton_bivariate(*margins, n, seed) for seed in seeds]
+        assert x.shape == y.shape == (len(seeds), n)
+        for i, sample in enumerate(one):
+            assert x[i].tobytes() == sample.x.tobytes()
+            assert y[i].tobytes() == sample.y.tobytes()
+            assert generate_scenario(spec, n, seeds[i]).x.tobytes() == sample.x.tobytes()
 
 
 def small_config(case_id: str, n: int, reps: int, tests=("stwj",), seed=505) -> ExperimentConfig:
@@ -326,6 +373,30 @@ class TestChunks:
         shapes = record_chunks(monkeypatch)
         run_rejection_experiment(small_config("C5", 30, 3, tests=("wilcoxon",)))
         assert shapes == [(1, 30)] * 3
+
+    def test_a_baseline_cell_draws_each_chunk_with_one_call(self, monkeypatch):
+        # 200 replications at n=200 are 10 chunks of 20 rows
+        calls = []
+
+        def rows(*args, rows_fn=montecarlo.sample_clayton_rows):
+            calls.append(len(args[-1]))
+            return rows_fn(*args)
+
+        monkeypatch.setattr(montecarlo, "sample_clayton_rows", rows)
+        monkeypatch.setattr(montecarlo, "generate_scenario",
+                            lambda *args: pytest.fail("drew one replication"))
+        cfg = ExperimentConfig(scenario=scenario("C5"), n=200, replications=200,
+                               master_seed=2718, tests=("t", "wilcoxon"))
+        run_rejection_experiment(cfg)
+        assert calls == [20] * 10
+
+    def test_rows_never_made_a_sample_are_checked_finite(self):
+        # Pareto(0.001, 1) overflows to inf above its median
+        spec = ScenarioSpec("INF", theta=0.5, marginal_x=Pareto(0.001, 1.0),
+                            marginal_y=Pareto(2.0, 1.0))
+        cfg = ExperimentConfig(scenario=spec, n=20, replications=3, master_seed=1, tests=("t",))
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="finite"):
+            run_rejection_experiment(cfg)
 
     @pytest.mark.parametrize("tests, calls", [(("t", "wilcoxon"), 4), (("stwj", "t"), 8)])
     def test_the_test_seed_is_derived_only_for_stwj(self, monkeypatch, tests, calls):

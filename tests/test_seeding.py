@@ -47,3 +47,10 @@ def test_jump_is_pcg64_jumped_from_the_initial_state():
     # substreams of one seed differ, and so do those of two streams
     assert not np.array_equal(make_rng(7, jump=1).random(4), make_rng(7, jump=2).random(4))
     assert not np.array_equal(make_rng(7, 1, jump=1).random(4), make_rng(7, jump=1).random(4))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_jump_zero_is_the_streams_initial_state(seed):
+    expected = np.random.PCG64(np.random.SeedSequence((seed,))).state
+    assert make_rng(seed).bit_generator.state == expected
+    assert make_rng(seed, jump=0).bit_generator.state == expected
