@@ -19,9 +19,6 @@ from .distributions import (
     Weibull,
     cdf,
     quantile,
-    sample_bivariate_normal,
-    sample_clayton_bivariate,
-    sample_clayton_uniforms,
 )
 from .empirical import PairedSample, read_paired_csv, write_paired_csv
 from .errors import (

@@ -19,19 +19,22 @@ inverts the conditional distribution of V given U.
 
 A bivariate normal's covariance is checked and factorized once, when its
 BivariateNormalParams is built, so a covariance that constructs can be
-sampled; sample_bivariate_normal reuses the stored factor.
+sampled; sample_bivariate_normal_rows reuses the stored factor.
 
 Row-wise form. sample_bivariate_normal_rows, sample_clayton_uniform_rows
 and sample_clayton_rows draw one sample per seed at once, as rows of
-(R, n) arrays, and the one-sample functions sample_bivariate_normal,
-sample_clayton_uniforms and sample_clayton_bivariate call them with one
-seed, so there is one code path. Row i is filled from make_rng(seeds[i])
-alone, with the calls and shapes of a one-sample draw, so each seed's
-stream is unchanged. The rest runs once on the whole array: the nudge
-into the open interval, the Clayton inversion and clip, the quantiles,
-and the affine map as one stacked (R, n, 2) @ chol.T, which makes the
-2x2 product of each row as a one-sample draw does. Each row therefore
-equals the one-sample result bit for bit.
+(R, n) arrays; montecarlo.generate_scenario draws one sample through
+them with one seed, so there is one code path. Row i is filled from
+make_rng(seeds[i]) alone, with the calls and shapes of a one-row draw,
+so each seed's stream is unchanged. The rest runs once on the whole
+array: the nudge into the open interval, the Clayton inversion and clip,
+the quantiles, and the affine map as one stacked (R, n, 2) @ chol.T,
+which makes the 2x2 product of each row as a one-row draw does. Each row
+therefore equals a one-seed call's row bit for bit.
+
+Every draw holds at most MAX_VALUES = 2**23 values per coordinate (64
+MiB of floats): check_size raises CapacityError before anything is
+allocated when a call would hold more.
 
 scipy.special is imported only in the Normal branches of cdf and
 quantile, so importing the package does not load it.
@@ -44,8 +47,7 @@ from typing import Union
 
 import numpy as np
 
-from .empirical import PairedSample
-from .errors import DomainError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError
 from .seeding import make_rng
 
 __all__ = [
@@ -57,11 +59,10 @@ __all__ = [
     "ClaytonParams",
     "cdf",
     "quantile",
-    "sample_bivariate_normal",
+    "MAX_VALUES",
+    "check_size",
     "sample_bivariate_normal_rows",
-    "sample_clayton_uniforms",
     "sample_clayton_uniform_rows",
-    "sample_clayton_bivariate",
     "sample_clayton_rows",
     "clayton_cdf",
     "clayton_partial_u",
@@ -200,9 +201,20 @@ class ClaytonParams:
             raise ParameterError(f"clayton theta must be > 0, got {self.theta}")
 
 
-def _check_size(n: int) -> None:
+# Largest number of values per coordinate in one draw: 2**23 floats, 64 MiB.
+MAX_VALUES = 2**23
+
+
+def check_size(n: int, samples: int = 1) -> None:
+    """ParameterError for n < 1; CapacityError when that many samples of n
+    pairs would hold more than MAX_VALUES values per coordinate."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    if samples * n > MAX_VALUES:
+        raise CapacityError(
+            f"n={n} pairs in {samples} sample(s): "
+            f"at most {MAX_VALUES} floats per coordinate fit in 64 MiB"
+        )
 
 
 def sample_bivariate_normal_rows(
@@ -210,7 +222,7 @@ def sample_bivariate_normal_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """x and y of shape (len(seeds), n): row i holds n draws of a bivariate
     normal pair from seed seeds[i]."""
-    _check_size(n)
+    check_size(n, len(seeds))
     z = np.empty((len(seeds), n, 2))
     for row, seed in zip(z, seeds):
         make_rng(seed).standard_normal(out=row)
@@ -218,17 +230,11 @@ def sample_bivariate_normal_rows(
     return xy[..., 0], xy[..., 1]
 
 
-def sample_bivariate_normal(params: BivariateNormalParams, n: int, seed: int) -> PairedSample:
-    """n draws of a bivariate normal pair; bit-identical for a fixed seed."""
-    x, y = sample_bivariate_normal_rows(params, n, [seed])
-    return PairedSample(x[0], y[0])
-
-
 def sample_clayton_uniform_rows(theta: float, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """U and V of shape (len(seeds), n): row i holds n pairs from the Clayton
     copula, by conditional inversion, from seed seeds[i]."""
     th = ClaytonParams(theta).theta
-    _check_size(n)
+    check_size(n, len(seeds))
     u = np.empty((len(seeds), n))
     w = np.empty_like(u)
     for u_row, w_row, seed in zip(u, w, seeds):
@@ -244,12 +250,6 @@ def sample_clayton_uniform_rows(theta: float, n: int, seeds) -> tuple[np.ndarray
     return u, np.clip(v, tiny, 1.0 - np.finfo(float).epsneg)
 
 
-def sample_clayton_uniforms(theta: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """n pairs (U, V) from the Clayton copula, by conditional inversion."""
-    u, v = sample_clayton_uniform_rows(theta, n, [seed])
-    return u[0], v[0]
-
-
 def sample_clayton_rows(
     theta: float, mx: MarginalDist, my: MarginalDist, n: int, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,18 +257,6 @@ def sample_clayton_rows(
     for the rows (U, V) of sample_clayton_uniform_rows."""
     u, v = sample_clayton_uniform_rows(theta, n, seeds)
     return quantile(mx, u), quantile(my, v)
-
-
-def sample_clayton_bivariate(
-    theta: float, mx: MarginalDist, my: MarginalDist, n: int, seed: int
-) -> PairedSample:
-    """Clayton-coupled pair with the given marginals.
-
-    Returns (quantile(mx, U), quantile(my, V)) for (U, V) from
-    sample_clayton_uniforms; deterministic for a fixed seed.
-    """
-    x, y = sample_clayton_rows(theta, mx, my, n, [seed])
-    return PairedSample(x[0], y[0])
 
 
 def clayton_cdf(theta: float, u, v):

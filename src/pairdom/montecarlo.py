@@ -79,11 +79,12 @@ from .distributions import (
     MarginalDist,
     Pareto,
     Weibull,
+    check_size,
     sample_bivariate_normal_rows,
     sample_clayton_rows,
 )
 from .empirical import PairedSample
-from .errors import CapacityError, DegenerateSampleError, ParameterError
+from .errors import DegenerateSampleError, ParameterError
 from .seeding import derive_seed
 
 __all__ = [
@@ -103,11 +104,9 @@ _Z95 = 1.959963984540054
 # Differences held per chunk of replications for the row-wise baselines:
 # 32 KiB, e.g. 20 rows at n=200 and all of 200 rows at n=10. The Wilcoxon
 # ranking makes several arrays of the chunk's size, and twice the budget
-# raised the benchmark's peak RSS by ~2% for no measured speed.
+# raised the benchmark's peak RSS by ~2% for no measured speed. A chunk
+# holds at most max(4096, n) values, inside distributions.MAX_VALUES.
 _CHUNK_BYTES = 32 << 10
-# Largest sample size: one coordinate of the sample, n floats, fills the
-# 64 MiB block budget that also caps gptest.build_grid's k.
-_MAX_N = gptest._BLOCK_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,7 @@ def scenario(case_id: str) -> ScenarioSpec:
 def _check_n(n: int) -> None:
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    if n > _MAX_N:
-        raise CapacityError(f"n={n} pairs: at most {_MAX_N} floats per coordinate fit in 64 MiB")
+    check_size(n)
 
 
 @dataclass(frozen=True)
@@ -258,8 +256,8 @@ class RejectionReport:
 def generate_scenario(spec: ScenarioSpec, n: int, seed: int) -> PairedSample:
     """Draw a paired sample from a scenario; deterministic per seed.
 
-    n > 2**23, past 64 MiB per coordinate, raises CapacityError before
-    anything is drawn.
+    n > distributions.MAX_VALUES (2**23, 64 MiB per coordinate) raises
+    CapacityError before anything is drawn.
     """
     x, y = _draw(spec, n, [seed])
     return PairedSample(x[0], y[0])
@@ -290,11 +288,6 @@ def run_rejection_experiment(cfg: ExperimentConfig) -> RejectionReport:
              for test in cfg.tests for i, level in enumerate(cfg.levels)}
     failures = {test: tallies[test][-1] for test in cfg.tests}
     return RejectionReport(cfg, rates, failures, wall_time=time.perf_counter() - started)
-
-
-def _sample(cfg: ExperimentConfig, r: int) -> PairedSample:
-    """Replication r's sample, drawn with seed (master_seed, r, 0)."""
-    return generate_scenario(cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
 
 
 def _baseline_pass(cfg: ExperimentConfig, tallies: dict[str, list[int]]):
@@ -361,10 +354,12 @@ def _stwj_tally(cfg: ExperimentConfig, replications: range,
                 samples: Optional[dict[int, PairedSample]] = None) -> list[int]:
     """The dominance-test tally of some replications, in this process or
     the helper: a rejection per level at which p1 < level, or a failure.
-    A replication's sample is taken from samples if it is there."""
+    A replication's sample is taken from samples if it is there, or else
+    drawn with seed (master_seed, r, 0)."""
     tally = [0] * (len(cfg.levels) + 1)
     for r in replications:
-        sample = samples[r] if samples and r in samples else _sample(cfg, r)
+        sample = samples[r] if samples and r in samples else generate_scenario(
+            cfg.scenario, cfg.n, derive_seed(cfg.master_seed, r, 0))
         try:
             result = gptest.test_st_wj(
                 sample, cfg.k, cfg.n_sims,

@@ -18,6 +18,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
+from . import distributions
 from .distributions import BivariateNormalParams
 from .empirical import float_fields, read_columns_csv, write_columns_csv
 from .errors import CapacityError, ParameterError
@@ -242,7 +243,14 @@ def discretize_bivariate_normal(
 ) -> DiscreteBivariate:
     """Midpoint-cell discretization of a nondegenerate bivariate normal,
     renormalized to total mass one. Used to cross-check the analytic
-    criterion against the exact discrete oracle."""
+    criterion against the exact discrete oracle. A grid of more than
+    distributions.MAX_VALUES cells raises CapacityError before any
+    array is built."""
+    if grid_size**2 > distributions.MAX_VALUES:
+        raise CapacityError(
+            f"grid_size={grid_size} makes {grid_size**2} cells: "
+            f"at most {distributions.MAX_VALUES} floats per array fit in 64 MiB"
+        )
     s = params.sigma
     det = float(np.linalg.det(s))
     if det <= 0:

@@ -1,12 +1,13 @@
 """Seed derivation and generator construction.
 
 All stochastic operations in the package take an explicit integer seed.
-Sub-streams are derived from (seed, stream indices) through numpy's
+derive_seed mixes (seed, indices) into one seed through numpy's
 SeedSequence, so parallel or out-of-order use reproduces the same draws.
-Within one such stream, jump=j gives the j-th of its substreams: the
-PCG64 state jumped j times from the stream's initial state (the streams
-and substreams of L'Ecuyer et al. 2002, Oper. Res. 50:1073-1075), so it
-depends on neither the thread that draws it nor what was drawn before.
+make_rng(seed) is the stream of one seed; jump=j gives the j-th of its
+substreams: the PCG64 state jumped j times from the stream's initial
+state (the streams and substreams of L'Ecuyer et al. 2002, Oper. Res.
+50:1073-1075), so it depends on neither the thread that draws it nor
+what was drawn before.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ def _check_seed(seed: int) -> int:
 _PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
-def make_rng(seed: int, *stream: int, jump: int = 0) -> np.random.Generator:
-    """Generator for (seed, *stream), at substream jump (0 is the stream's
-    start). Identical inputs give identical streams."""
-    entropy = (_check_seed(seed), *(int(s) for s in stream))
-    bits = np.random.PCG64(np.random.SeedSequence(entropy))
+def make_rng(seed: int, *, jump: int = 0) -> np.random.Generator:
+    """Generator for seed, at substream jump (0 is the stream's start).
+    Identical inputs give identical streams."""
+    bits = np.random.PCG64(np.random.SeedSequence((_check_seed(seed),)))
     # bits.jumped(jump) in place: jumped() first seeds a new PCG64 from OS
     # entropy, which tripled the cost of a substream. advance(0) changes
     # nothing but costs a call on every sample's stream, so it is skipped.

@@ -10,7 +10,7 @@ import pytest
 import pairdom
 
 from conftest import SIX_ATOM_POINTS
-from pairdom import gptest, montecarlo
+from pairdom import distributions, gptest, montecarlo
 from pairdom.cli import build_parser, main
 from pairdom.empirical import read_paired_csv
 from pairdom.oracle import DiscreteBivariate, write_atoms_csv
@@ -284,7 +284,7 @@ class TestSampleSizeCap:
     @pytest.mark.parametrize("command", [["simulate"], ["mc", "--replications", "1"]])
     def test_n_beyond_the_cap_exits_2(self, monkeypatch, capsys, command):
         # a small cap stands in for 2**23, so no large sample is ever drawn
-        monkeypatch.setattr(montecarlo, "_MAX_N", 40)
+        monkeypatch.setattr(distributions, "MAX_VALUES", 40)
         args = [*command, "--case", "C5", "--seed", "1", "--n"]
         assert run(args + ["41"]) == 2
         assert "at most 40 floats per coordinate fit in 64 MiB" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kendalltau
 
+from pairdom import distributions
 from pairdom.distributions import (
     BivariateNormalParams,
     Normal,
@@ -11,11 +12,11 @@ from pairdom.distributions import (
     cdf,
     clayton_cdf,
     quantile,
-    sample_bivariate_normal,
-    sample_clayton_bivariate,
-    sample_clayton_uniforms,
+    sample_bivariate_normal_rows,
+    sample_clayton_rows,
+    sample_clayton_uniform_rows,
 )
-from pairdom.errors import DomainError, ParameterError
+from pairdom.errors import CapacityError, DomainError, ParameterError
 
 PAPER_COV = np.array([[2.0, 1.5], [1.5, 1.5]])
 
@@ -84,29 +85,29 @@ class TestQuantile:
 class TestBivariateNormal:
     def test_standard_correlation_near_zero(self):
         params = BivariateNormalParams(np.zeros(2), np.eye(2))
-        s = sample_bivariate_normal(params, 100_000, seed=101)
-        corr = np.corrcoef(s.x, s.y)[0, 1]
+        (x,), (y,) = sample_bivariate_normal_rows(params, 100_000, [101])
+        corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) <= 0.02
 
     def test_scenario_means(self):
         params = BivariateNormalParams(np.array([2.0, 4.0]), PAPER_COV)
-        s = sample_bivariate_normal(params, 100_000, seed=11)
-        assert abs(s.x.mean() - 2.0) <= 0.02
-        assert abs(s.y.mean() - 4.0) <= 0.02
-        cov = np.cov(s.x, s.y)
+        (x,), (y,) = sample_bivariate_normal_rows(params, 100_000, [11])
+        assert abs(x.mean() - 2.0) <= 0.02
+        assert abs(y.mean() - 4.0) <= 0.02
+        cov = np.cov(x, y)
         assert np.abs(cov - PAPER_COV).max() <= 0.05
 
     def test_degenerate_sigma_returns_mu(self):
         params = BivariateNormalParams(np.array([1.5, -2.0]), np.zeros((2, 2)))
-        s = sample_bivariate_normal(params, 64, seed=5)
-        assert np.all(s.x == 1.5)
-        assert np.all(s.y == -2.0)
+        x, y = sample_bivariate_normal_rows(params, 64, [5, 6])
+        assert np.all(x == 1.5)
+        assert np.all(y == -2.0)
 
     def test_bit_identical_for_fixed_seed(self):
         params = BivariateNormalParams(np.array([2.0, 4.0]), PAPER_COV)
-        a = sample_bivariate_normal(params, 1000, seed=99)
-        b = sample_bivariate_normal(params, 1000, seed=99)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        ax, ay = sample_bivariate_normal_rows(params, 1000, [99])
+        bx, by = sample_bivariate_normal_rows(params, 1000, [99])
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_non_psd_rejected_at_construction(self):
         with pytest.raises(ParameterError):
@@ -138,39 +139,68 @@ class TestClayton:
         assert clayton_tau_by_quadrature(0.5) == pytest.approx(0.5 / 2.5, abs=1e-10)
 
     def test_sampler_tau(self):
-        u, v = sample_clayton_uniforms(0.5, 100_000, seed=2024)
+        (u,), (v,) = sample_clayton_uniform_rows(0.5, 100_000, [2024])
         tau = kendalltau(u[:50_000], v[:50_000]).statistic
         assert abs(tau - clayton_tau_by_quadrature(0.5)) <= 0.02
 
     def test_empirical_copula_at_center(self):
-        u, v = sample_clayton_uniforms(0.5, 100_000, seed=77)
+        (u,), (v,) = sample_clayton_uniform_rows(0.5, 100_000, [77])
         emp = np.mean((u <= 0.5) & (v <= 0.5))
         assert abs(emp - clayton_cdf(0.5, 0.5, 0.5)) <= 0.01
         assert clayton_cdf(0.5, 0.5, 0.5) == pytest.approx((2 * 0.5**-0.5 - 1) ** -2, abs=1e-12)
 
     def test_uniform_marginals(self):
-        u, v = sample_clayton_uniforms(0.5, 100_000, seed=31)
+        (u,), (v,) = sample_clayton_uniform_rows(0.5, 100_000, [31])
         for w in (u, v):
             assert abs(w.mean() - 0.5) <= 0.005
             assert abs(np.mean(w <= 0.25) - 0.25) <= 0.01
 
     def test_pareto_marginal_mean(self):
-        s = sample_clayton_bivariate(0.5, Pareto(2, 1), Pareto(1.5, 1), 100_000, seed=15)
+        (x,), _ = sample_clayton_rows(0.5, Pareto(2, 1), Pareto(1.5, 1), 100_000, [15])
         # Pareto mean a*k/(a-1)
-        assert abs(s.x.mean() - 2.0) <= 0.05
+        assert abs(x.mean() - 2.0) <= 0.05
 
     def test_single_draw_inside_supports(self):
-        s = sample_clayton_bivariate(0.7, Pareto(2, 1), Weibull(1.5, 2), 1, seed=8)
-        assert s.n == 1
-        assert s.x[0] >= 1.0 and s.y[0] >= 0.0
+        x, y = sample_clayton_rows(0.7, Pareto(2, 1), Weibull(1.5, 2), 1, [8])
+        assert x.shape == y.shape == (1, 1)
+        assert x[0, 0] >= 1.0 and y[0, 0] >= 0.0
 
     def test_deterministic(self):
-        a = sample_clayton_bivariate(0.5, Pareto(2, 1), Pareto(1.5, 1), 500, seed=4)
-        b = sample_clayton_bivariate(0.5, Pareto(2, 1), Pareto(1.5, 1), 500, seed=4)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        ax, ay = sample_clayton_rows(0.5, Pareto(2, 1), Pareto(1.5, 1), 500, [4])
+        bx, by = sample_clayton_rows(0.5, Pareto(2, 1), Pareto(1.5, 1), 500, [4])
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_invalid_theta(self):
         with pytest.raises(ParameterError):
-            sample_clayton_uniforms(0.0, 10, seed=1)
+            sample_clayton_uniform_rows(0.0, 10, [1])
         with pytest.raises(ParameterError):
-            sample_clayton_uniforms(-1.0, 10, seed=1)
+            sample_clayton_rows(-1.0, Pareto(2, 1), Pareto(1.5, 1), 10, [1])
+
+
+ROW_SAMPLERS = {
+    "normal": lambda n, seeds: sample_bivariate_normal_rows(
+        BivariateNormalParams(np.zeros(2), PAPER_COV), n, seeds),
+    "clayton_uniform": lambda n, seeds: sample_clayton_uniform_rows(0.5, n, seeds),
+    "clayton": lambda n, seeds: sample_clayton_rows(0.5, Pareto(2, 1), Weibull(1.5, 2), n, seeds),
+}
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("sampler", sorted(ROW_SAMPLERS))
+    @pytest.mark.parametrize("fits, over", [((4, 10), (4, 11)), ((40, 1), (41, 1))],
+                             ids=["short_rows", "one_long_row"])
+    def test_rows_beyond_the_cap_raise_before_drawing(self, monkeypatch, sampler, fits, over):
+        # a small cap stands in for 2**23, so no large sample is ever drawn
+        monkeypatch.setattr(distributions, "MAX_VALUES", 40)
+        draw = ROW_SAMPLERS[sampler]
+        n, rows = fits
+        assert draw(n, list(range(rows)))[0].shape == (rows, n)
+        monkeypatch.setattr(distributions, "make_rng", lambda *args, **kw: pytest.fail("drew"))
+        n, rows = over
+        with pytest.raises(CapacityError, match="at most 40 floats per coordinate fit in 64 MiB"):
+            draw(n, list(range(rows)))
+
+    @pytest.mark.parametrize("sampler", sorted(ROW_SAMPLERS))
+    def test_empty_rows_raise(self, sampler):
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            ROW_SAMPLERS[sampler](0, [1])

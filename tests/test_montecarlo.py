@@ -13,14 +13,12 @@ from scipy.special import gamma as gamma_fn
 
 from conftest import may_use_two_cpus, record_thread_starts, run_fresh
 
-from pairdom import gptest, montecarlo
+from pairdom import distributions, gptest, montecarlo
 from pairdom.distributions import (
     BivariateNormalParams,
     Pareto,
     Weibull,
-    sample_bivariate_normal,
     sample_bivariate_normal_rows,
-    sample_clayton_bivariate,
     sample_clayton_rows,
 )
 from pairdom.empirical import write_json
@@ -111,13 +109,13 @@ class TestGenerateScenario:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_cap_is_64_mib_per_coordinate(self):
-        assert montecarlo._MAX_N * 8 == 64 << 20
+        assert distributions.MAX_VALUES * 8 == 64 << 20
 
     @pytest.mark.parametrize("case, sampler", [("C1", "sample_bivariate_normal_rows"),
                                                ("C5", "sample_clayton_rows")])
     def test_n_beyond_the_cap_raises_before_drawing(self, monkeypatch, case, sampler):
         # a small cap stands in for 2**23, so no large sample is ever drawn
-        monkeypatch.setattr(montecarlo, "_MAX_N", 40)
+        monkeypatch.setattr(distributions, "MAX_VALUES", 40)
         assert generate_scenario(scenario(case), 40, seed=1).n == 40
         assert ExperimentConfig(scenario(case), n=40, replications=1, master_seed=1).n == 40
         monkeypatch.setattr(montecarlo, sampler, lambda *args: pytest.fail("drew a sample"))
@@ -138,17 +136,17 @@ class TestGenerateScenario:
         # shuffled and far apart, so no row can lean on its neighbour's seed
         seeds = [int(s) for s in np.random.default_rng(n).choice(10**12, size=60, replace=False)]
         if spec.normal is not None:
-            x, y = sample_bivariate_normal_rows(spec.normal, n, seeds)
-            one = [sample_bivariate_normal(spec.normal, n, seed) for seed in seeds]
+            rows = lambda seeds: sample_bivariate_normal_rows(spec.normal, n, seeds)
         else:
-            margins = (spec.theta, spec.marginal_x, spec.marginal_y)
-            x, y = sample_clayton_rows(*margins, n, seeds)
-            one = [sample_clayton_bivariate(*margins, n, seed) for seed in seeds]
+            rows = lambda seeds: sample_clayton_rows(
+                spec.theta, spec.marginal_x, spec.marginal_y, n, seeds)
+        x, y = rows(seeds)
         assert x.shape == y.shape == (len(seeds), n)
-        for i, sample in enumerate(one):
-            assert x[i].tobytes() == sample.x.tobytes()
-            assert y[i].tobytes() == sample.y.tobytes()
-            assert generate_scenario(spec, n, seeds[i]).x.tobytes() == sample.x.tobytes()
+        for i, seed in enumerate(seeds):
+            (one_x,), (one_y,) = rows([seed])
+            sample = generate_scenario(spec, n, seed)
+            assert x[i].tobytes() == one_x.tobytes() == sample.x.tobytes()
+            assert y[i].tobytes() == one_y.tobytes() == sample.y.tobytes()
 
 
 def small_config(case_id: str, n: int, reps: int, tests=("stwj",), seed=505) -> ExperimentConfig:

@@ -7,6 +7,7 @@ from conftest import (
     random_ordered_discrete_bivariate,
     stwj_holds_dense_scan,
 )
+from pairdom import distributions, oracle
 from pairdom.distributions import BivariateNormalParams
 from pairdom.errors import CapacityError, CsvFormatError, ParameterError
 from pairdom.oracle import (
@@ -205,6 +206,20 @@ class TestAnalyticNormal:
         assert analytic_st_wj_bivariate_normal(params) is True
         assert check_st_wj_discrete(law, tol=1e-9).holds
         assert check_st_marginals_discrete(law, tol=1e-9) == MarginalOrder.INCOMPARABLE
+
+    def test_grid_beyond_the_cap_raises_before_any_array(self, monkeypatch):
+        # a small cap stands in for 2**23, so no large grid is ever built
+        params = BivariateNormalParams(np.array([0.0, 1.0]), np.array([[1.0, 0.5], [0.5, 1.0]]))
+        monkeypatch.setattr(distributions, "MAX_VALUES", 100)
+        assert discretize_bivariate_normal(params, grid_size=10).n_atoms == 100
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                pytest.fail(f"called np.{name}")
+
+        monkeypatch.setattr(oracle, "np", NoNumpy())
+        with pytest.raises(CapacityError, match="grid_size=11 makes 121 cells: at most 100"):
+            discretize_bivariate_normal(params, grid_size=11)
 
 
 class TestValidationAndCsv:

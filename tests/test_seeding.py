@@ -27,9 +27,9 @@ class TestDeriveSeed:
 
 class TestMakeRng:
     def test_streams_are_independent_and_reproducible(self):
-        a1 = make_rng(7, 0).standard_normal(8)
-        a2 = make_rng(7, 0).standard_normal(8)
-        b = make_rng(7, 1).standard_normal(8)
+        a1 = make_rng(derive_seed(7, 0)).standard_normal(8)
+        a2 = make_rng(derive_seed(7, 0)).standard_normal(8)
+        b = make_rng(derive_seed(7, 1)).standard_normal(8)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
@@ -44,9 +44,8 @@ def test_jump_is_pcg64_jumped_from_the_initial_state():
     for j in (1, 2, 1000):
         jumped = np.random.Generator(make_rng(7).bit_generator.jumped(j))
         assert np.array_equal(make_rng(7, jump=j).standard_normal(8), jumped.standard_normal(8))
-    # substreams of one seed differ, and so do those of two streams
+    # substreams of one seed differ
     assert not np.array_equal(make_rng(7, jump=1).random(4), make_rng(7, jump=2).random(4))
-    assert not np.array_equal(make_rng(7, 1, jump=1).random(4), make_rng(7, jump=1).random(4))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
