@@ -46,11 +46,10 @@ and reaped when the interpreter exits.
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
 stop_at = max(levels) in place of the default 1.0. The draws are the
-same blocks as in any other run; once the running mid-p count reaches
-that level, the full p1 can only be larger and no level rejects, so the
-remaining draws are skipped. The decisions, and hence every rate, are
-the same as from the full test. A test with an early stop never starts
-gptest's second thread, so the helper is the only other worker.
+same as in any other run; once their running sum reaches that level,
+the full p1 can only be larger and no level rejects, so the remaining
+draws are skipped. The decisions, and hence every rate, are the same as
+from the full test.
 
 An ExperimentConfig lists each test and each level at most once. A
 RejectionReport keeps the ExperimentConfig it ran as config; its CSV and
@@ -377,9 +376,9 @@ def _stwj_tally(cfg: ExperimentConfig, replications: range,
 # pickles with this process over its stdin and stdout. Its sys.path is this
 # process's, passed as arguments, so it imports pairdom and numpy from
 # where this process did, never from its working directory. It is started
-# only where this process may use two CPUs (gptest._two_cpus, the rule
-# gptest's own second thread follows), so a multiprocessing child, whose
-# parent already spreads the work, runs serially. Two processes is the only
+# only where this process may use two CPUs (gptest._two_cpus), so a
+# multiprocessing child, whose parent already spreads the work, runs
+# serially. Two processes is the only
 # size measured, so there is never more than one helper; _stop_helper
 # terminates and reaps it at exit, ready or still starting.
 # the helper's interpreter arguments; this process's sys.path follows them

@@ -3,11 +3,7 @@
 All stochastic operations in the package take an explicit integer seed.
 derive_seed mixes (seed, indices) into one seed through numpy's
 SeedSequence, so parallel or out-of-order use reproduces the same draws.
-make_rng(seed) is the stream of one seed; jump=j gives the j-th of its
-substreams: the PCG64 state jumped j times from the stream's initial
-state (the streams and substreams of L'Ecuyer et al. 2002, Oper. Res.
-50:1073-1075), so it depends on neither the thread that draws it nor
-what was drawn before.
+make_rng(seed) is the stream of one seed.
 """
 
 from __future__ import annotations
@@ -25,20 +21,10 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-# PCG64.jumped(j) advances the state by j * (phi - 1) * 2**128 draws
-_PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-
-
-def make_rng(seed: int, *, jump: int = 0) -> np.random.Generator:
-    """Generator for seed, at substream jump (0 is the stream's start).
-    Identical inputs give identical streams."""
-    bits = np.random.PCG64(np.random.SeedSequence((_check_seed(seed),)))
-    # bits.jumped(jump) in place: jumped() first seeds a new PCG64 from OS
-    # entropy, which tripled the cost of a substream. advance(0) changes
-    # nothing but costs a call on every sample's stream, so it is skipped.
-    if jump:
-        bits.advance(jump * _PCG64_JUMP % 2**128)
-    return np.random.Generator(bits)
+def make_rng(seed: int) -> np.random.Generator:
+    """Generator for seed, a PCG64 stream. Identical seeds give identical
+    streams."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((_check_seed(seed),))))
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

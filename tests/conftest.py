@@ -103,8 +103,8 @@ def run_fresh(code: str, script: Path | None = None, timeout: float = 120,
 
 
 def may_use_two_cpus(monkeypatch, on: bool) -> None:
-    """Set whether this process may use two CPUs: the one rule, gptest._two_cpus,
-    that starts gptest's second thread and the harness's helper process."""
+    """Set whether this process may use two CPUs: the rule, gptest._two_cpus,
+    that starts the harness's helper process."""
     monkeypatch.setattr(gptest, "_two_cpus", lambda: on)
 
 

@@ -17,8 +17,7 @@ from pairdom.oracle import DiscreteBivariate, write_atoms_csv
 
 
 # A dependent pair on the 7-point scale; the JSON below is what
-# `pairdom test --discrete` printed for it when the discrete variant had its
-# own entry point.
+# `pairdom test --discrete --n-sims 2000 --seed 5` prints for it.
 ORDINAL_30 = """
 1,1 4,6 5,5 3,2 2,4 1,2 7,7 7,6 6,4 7,7 1,1 4,2 1,1 7,6 3,2
 7,7 3,1 3,2 3,3 1,2 4,4 5,5 5,3 1,2 2,3 4,6 6,6 4,3 1,2 4,6
@@ -26,8 +25,8 @@ ORDINAL_30 = """
 ORDINAL_30_DISCRETE_JSON = """{
   "statistic": 0.18257418583505533,
   "t_star": 0.0,
-  "p1": 0.539,
-  "p_se": 0.01114627740548386,
+  "p1": 0.5183707582320133,
+  "p_se": 0.0038676306849831947,
   "n": 30,
   "k": 2,
   "cells": 2,
@@ -43,12 +42,12 @@ ORDINAL_30_DISCRETE_JSON = """{
 C3_300_JSON = """{
   "statistic": 0.057735026918962595,
   "t_star": 1.534988159243745,
-  "p1": 0.9132,
-  "p_se": 0.002815417553401271,
+  "p1": 0.9135740339343055,
+  "p_se": 0.004254708163251982,
   "n": 300,
   "k": 100,
   "cells": 67,
-  "n_sims": 10000,
+  "n_sims": 1280,
   "seed": 11,
   "reject_at_0_05": false,
   "reject_at_0_01": false
@@ -61,12 +60,12 @@ PORTFOLIO_XY_JSON = """{
   "stwj_forward": {
     "statistic": 0.0,
     "t_star": 0.060338963061181805,
-    "p1": 0.98265,
-    "p_se": 0.001305717331584443,
+    "p1": 0.9815267606341699,
+    "p_se": 0.0014763625178555633,
     "n": 339,
     "k": 100,
     "cells": 68,
-    "n_sims": 10000,
+    "n_sims": 1280,
     "seed": 1422833171413083632,
     "reject_at_0_05": false,
     "reject_at_0_01": false
@@ -74,12 +73,12 @@ PORTFOLIO_XY_JSON = """{
   "stwj_reverse": {
     "statistic": 1.9552516077368465,
     "t_star": 0.014009141152181794,
-    "p1": 0.0398,
-    "p_se": 0.0019548902782509305,
+    "p1": 0.03981157156551245,
+    "p_se": 0.0008509344832693791,
     "n": 339,
     "k": 100,
     "cells": 68,
-    "n_sims": 10000,
+    "n_sims": 1280,
     "seed": 11694156604828383914,
     "reject_at_0_05": true,
     "reject_at_0_01": false
@@ -97,12 +96,12 @@ PORTFOLIO_XYZ_JSON = """{
   "stwj_forward": {
     "statistic": 0.0,
     "t_star": 0.048271170448945445,
-    "p1": 0.98265,
-    "p_se": 0.001305717331584443,
+    "p1": 0.9815267606341699,
+    "p_se": 0.0014763625178555633,
     "n": 339,
     "k": 100,
     "cells": 68,
-    "n_sims": 10000,
+    "n_sims": 1280,
     "seed": 1422833171413083632,
     "reject_at_0_05": false,
     "reject_at_0_01": false
@@ -110,12 +109,12 @@ PORTFOLIO_XYZ_JSON = """{
   "stwj_reverse": {
     "statistic": 1.9552516077368465,
     "t_star": 0.011207312921745434,
-    "p1": 0.0398,
-    "p_se": 0.0019548902782509305,
+    "p1": 0.03981157156551245,
+    "p_se": 0.0008509344832693791,
     "n": 339,
     "k": 100,
     "cells": 68,
-    "n_sims": 10000,
+    "n_sims": 1280,
     "seed": 11694156604828383914,
     "reject_at_0_05": true,
     "reject_at_0_01": false

@@ -1,21 +1,14 @@
 import json
+import math
 import os
 import sys
-import threading
-import time
 import types
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import (
-    EmpiricalSurvival,
-    dense_covariance,
-    may_use_two_cpus,
-    record_thread_starts,
-    survival_at,
-)
+from conftest import EmpiricalSurvival, dense_covariance, survival_at
 from pairdom import gptest
 from pairdom.empirical import PairedSample, statistic_and_t_star
 from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
@@ -38,14 +31,6 @@ def unit_variance_cov():
     return build_covariance(Grid(np.array([0.0, 1.0])), differences_sample(np.tile([1.0, -1.0], 50)))
 
 
-def force_threads(monkeypatch, on: bool) -> None:
-    """Make pvalue_bounds share every run without an early stop over two
-    segments or more between two threads (on), or draw on one thread."""
-    may_use_two_cpus(monkeypatch, on)
-    if on:
-        monkeypatch.setattr(gptest, "_THREAD_NORMALS", 0)
-
-
 def ordinal_sample() -> PairedSample:
     rng = np.random.default_rng(17)
     x = rng.integers(1, 8, 200)
@@ -60,6 +45,56 @@ def with_linear_grid(s: PairedSample):
 def with_support_grid(s: PairedSample):
     z = np.concatenate([s.x - s.y, s.y - s.x])
     return s, Grid(np.union1d([0.0], z[z >= 0]))
+
+
+def line_draws(cov: GpCovariance, stat: float, z: np.ndarray, fixed=()) -> np.ndarray:
+    """Each draw's conditional probability, from the dense construction: the
+    path values W = Z C^T of the cell form, the unit direction u of the
+    path value with the largest variance, b = C u, and for each row of z
+    P(max_i (W_i - (u.Z) b_i + eta b_i) > stat) over eta ~ N(0, 1), with a
+    maximum equal to stat counted one half. The cells in fixed, and the
+    floor at 0 past the last cell, do not move along the line."""
+    w = cov.q / np.sqrt(cov.r)
+    gamma = (1 - np.sqrt(1 - w @ w)) / (w @ w) if w @ w > 0 else 0.5
+    a = (np.arange(cov.dim)[None, :] >= np.arange(cov.dim)[:, None]).astype(float)
+    big_q = a @ cov.q
+    c = a * np.sqrt(cov.r) - gamma * np.outer(big_q, w)  # row i: W_i = c_i . Z
+    var = (c * c).sum(axis=1)
+    live = var > 1e-12
+    u = c[np.argmax(np.where(live, var, -1.0))]
+    u = u / np.linalg.norm(u)
+    b = c @ u
+    paths = z @ c.T
+    eta = z @ u
+    moves = live & (b > 0)
+    moves[list(fixed)] = False
+    hi = np.min(np.where(moves, (stat - paths) / np.where(moves, b, 1.0), np.inf), axis=1) + eta
+    top = np.max(np.where(live & ~moves, paths, -np.inf), axis=1)
+    if cov.cell[-1] < cov.n_points or not live.all():
+        top = np.maximum(top, 0.0)
+    p = ndtr(-hi)
+    return np.where(top > stat, 1.0, np.where(top == stat, 0.5 + 0.5 * p, p))
+
+
+def plain_maxima(cov: GpCovariance, n_sims: int, seed: int) -> np.ndarray:
+    """Maxima of n_sims null paths drawn from the cell form
+    V = sqrt(r) (Z - gamma w w.Z), with 0 joining the maximum where the
+    process is 0 past the last cell."""
+    w = cov.q / np.sqrt(cov.r)
+    gamma = 1.0 / (1.0 + np.sqrt(max(0.0, 1.0 - w @ w)))
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, n_sims, 20_000):
+        z = rng.standard_normal((min(20_000, n_sims - start), cov.dim))
+        v = np.sqrt(cov.r) * (z - gamma * np.outer(z @ w, w))
+        paths = np.cumsum(v[:, ::-1], axis=1)
+        if cov.r.sum() - cov.q.sum() ** 2 < 1e-12:  # W below the smallest |d| is exactly 0
+            paths[:, -1] = 0.0
+        peak = paths.max(axis=1)
+        if cov.cell[-1] < cov.n_points:
+            peak = np.maximum(peak, 0.0)
+        out.append(peak)
+    return np.concatenate(out)
 
 
 def closed_form_covariance(g: Grid, s: PairedSample) -> np.ndarray:
@@ -229,22 +264,16 @@ class TestPvalueBounds:
         assert abs(p1 - dense) <= 5 * np.sqrt(dense * (1 - dense) * 2 / n_sims)
 
     def test_each_draw_takes_dim_normals(self):
-        # the documented construction, drawn from the same streams: draws
-        # 0-2047 from make_rng(3), then 2048 draws from its PCG64 jumped
-        # once and the last 904 from it jumped twice
+        # the documented construction, drawn from the one stream of the seed:
+        # draw j takes normals j * dim to (j + 1) * dim - 1 of make_rng(3)
         s = case_sample("C8", 100, seed=6)
         cov = build_covariance(build_grid(s, 100), s)
-        segments = [make_rng(3)] + [np.random.Generator(make_rng(3).bit_generator.jumped(j))
-                                    for j in (1, 2)]
-        z = np.concatenate([rng.standard_normal((rows, cov.dim))
-                            for rng, rows in zip(segments, (2048, 2048, 904))])
-        w = cov.q / np.sqrt(cov.r)
-        gamma = (1 - np.sqrt(1 - w @ w)) / (w @ w)
-        v = np.sqrt(cov.r) * (z - gamma * np.outer(z @ w, w))
-        paths = np.cumsum(v[:, ::-1], axis=1)
-        peak = np.maximum(paths.max(axis=1), 0.0)
+        z = make_rng(3).standard_normal((5000, cov.dim))
         for stat in (0.5, 1.0, 1.5):
-            assert pvalue_bounds(cov, stat, 5000, seed=3) == np.mean(peak > stat)
+            expected = line_draws(cov, stat, z)
+            p1 = pvalue_bounds(cov, stat, 5000, seed=3)
+            assert p1 == pytest.approx(expected.mean(), rel=1e-12)
+            assert p1.se == pytest.approx(expected.std(ddof=1) / np.sqrt(5000), rel=1e-9)
 
     def test_monotone_in_statistic(self):
         s = case_sample("C8", 80, seed=8)
@@ -257,24 +286,141 @@ class TestPvalueBounds:
             pvalue_bounds(unit_variance_cov(), 0.0, 99, seed=0)
 
 
+# Mid-p shares of 10**6 plain maxima (plain_maxima, seed 5) above x = 1.0
+# and 1.5, and above 0 for the ordinal pair
+INDICATOR_REFERENCES = {
+    "C1": (lambda: cov_of(case_sample("C1", 100, seed=2)), {1.0: 0.093757, 1.5: 0.006465}),
+    "C3": (lambda: cov_of(case_sample("C3", 300, seed=3)), {1.0: 0.274926, 1.5: 0.109883}),
+    "C8": (lambda: cov_of(case_sample("C8", 100, seed=6)), {1.0: 0.220895, 1.5: 0.083329}),
+    "ordinal_k_none": (lambda: cov_of(ordinal_sample(), None),
+                       {0.0: 0.820766, 1.0: 0.122658, 1.5: 0.034842}),
+}
+
+
+def cov_of(s: PairedSample, k=100) -> GpCovariance:
+    return build_covariance(build_grid(s, k), s)
+
+
+class TestLineEstimator:
+    @pytest.mark.parametrize("name", sorted(INDICATOR_REFERENCES))
+    def test_mean_agrees_with_a_million_indicator_draws(self, name):
+        make, references = INDICATOR_REFERENCES[name]
+        cov = make()
+        for stat, p_ref in references.items():
+            p1 = pvalue_bounds(cov, stat, 20_000, seed=7)
+            se = math.hypot(p1.se, math.sqrt(p_ref * (1 - p_ref) / 1e6))
+            assert abs(p1 - p_ref) <= 4 * se, (stat, float(p1), p_ref)
+
+    def test_variance_ratio_at_p_near_five_percent(self):
+        # x is the 0.95 quantile of 4 * 10**5 plain maxima (seed 11); the
+        # bound of 10 was fixed before the ratio was measured
+        cov = cov_of(case_sample("C8", 100, seed=6))
+        p1 = pvalue_bounds(cov, 1.7363, 20_000, seed=7)
+        assert 0.04 < p1 < 0.06
+        ratio = p1 * (1 - p1) / (20_000 * p1.se**2)
+        assert ratio > 10
+
+    def test_ties_at_statistic_zero(self):
+        # the live point is N(0, 1) and moves with the line: each draw adds
+        # exactly P(W > 0) + 1/2 P(W <= 0) = 3/4
+        p1 = pvalue_bounds(unit_variance_cov(), 0.0, 1000, seed=3)
+        assert (p1, p1.se) == (0.75, 0.0)
+        # every difference of one sign: W below the smallest |d| is 0 and
+        # the one live point, N(0, 1/4), gives 3/4 again
+        one_sign = build_covariance(Grid(np.array([0.0, 1.5, 2.0])),
+                                    differences_sample([-1.0, -2.0]))
+        assert pvalue_bounds(one_sign, 0.0, 1000, seed=3) == 0.75
+        # ties at a statistic above 0 have probability 0
+        assert pvalue_bounds(unit_variance_cov(), 1e-300, 1000, seed=3) == pytest.approx(0.5)
+
+    def test_a_value_that_does_not_move_counts_as_an_indicator(self, monkeypatch):
+        cov = cov_of(case_sample("C3", 300, seed=3))
+        line = gptest._line(cov)
+        k = next(k for k, (i, _, _) in enumerate(line.cells) if i not in (line.jstar, 0))
+        i, weights, _ = line.cells[k]
+        cells = list(line.cells)
+        # (w.Z, path - stat) -> W_i - stat: -shift_i = weights[0] / weights[1]
+        cells[k] = (i, np.array([weights[0] / weights[1], 1.0]), False)
+        monkeypatch.setattr(gptest, "_line",
+                            lambda c: gptest._Line(line.sqrt_r, line.w, cells, line.jstar,
+                                                   line.sd, line.floor, True))
+        z = make_rng(5).standard_normal((3000, cov.dim))
+        for stat in (0.5, 1.0):
+            expected = line_draws(cov, stat, z, fixed=(i,))
+            assert pvalue_bounds(cov, stat, 3000, seed=5) == pytest.approx(expected.mean(),
+                                                                            rel=1e-12)
+
+    def test_p1_is_positive_in_the_far_tail(self):
+        # x is 1.25 times the largest of 4 * 10**5 plain maxima (4.487), where
+        # any count of indicators reads 0
+        cov = cov_of(case_sample("C3", 300, seed=3))
+        p1 = pvalue_bounds(cov, 5.61, 10_000, seed=7)
+        assert 0.0 < p1 < 1e-5
+        assert 0.0 < p1.se < p1
+
+    def test_upper_tail_against_math_erfc(self):
+        h = np.concatenate([np.linspace(-8.0, 37.0, 180_001), [-1e-300, 0.0, 1e-300],
+                            np.arange(0, 37, 1 / 128) + 1 / 256])
+        expected = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in h])
+        assert np.max(np.abs(gptest._upper_tail(h) - expected) / expected) <= 1e-12
+        with np.errstate(all="raise", under="ignore"):
+            far = gptest._upper_tail(np.array([-np.inf, -40.0, 38.9, 40.0, 1e300, np.inf]))
+        assert far.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("make, stats", [
+    (unit_variance_cov, (0.0, 1.0)),
+    (lambda: cov_of(ordinal_sample(), None), (0.0, 0.5)),
+    (lambda: cov_of(case_sample("C8", 100, seed=6)), (0.5, 1.5)),
+    (lambda: cov_of(case_sample("C3", 300, seed=3)), (0.5, 1.0)),
+    (lambda: GpCovariance(cell=np.arange(1, 130), r=np.full(129, 1 / 129), q=np.zeros(129),
+                          n_points=130), (1.0,)),
+    (lambda: cov_of(case_sample("C1", 150, seed=5), None), (0.2, 0.8)),
+], ids=["dim1", "ordinal_k_none", "C8_k100", "C3_k100", "dim129", "C1_k_none"])
+def test_blocks_do_not_change_p1(monkeypatch, make, stats):
+    cov = make()
+    for stat in stats:
+        full = pvalue_bounds(cov, stat, 5_000, seed=7)
+        assert 0.0 < full < 1.0
+        if full < 0.9:  # the stop path draws blocks of 256, 1024 and 2048
+            assert pvalue_bounds(cov, stat, 5_000, seed=7, stop_at=0.9) == full
+        with monkeypatch.context() as capped:  # blocks of at most 300 draws
+            capped.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 300)
+            p1 = pvalue_bounds(cov, stat, 5_000, seed=7)
+        assert (p1, p1.se) == (full, full.se)
+
+
+def test_default_draws_meet_their_rule_on_the_sample_that_sized_them():
+    # the C1 sample whose spread set DEFAULT_N_SIMS: at the 0.95 quantile
+    # of its plain maxima, 1280 draws have a standard error of at most
+    # 2.18e-3, that of 10**4 indicator draws at p = 0.05
+    cov = cov_of(case_sample("C1", 100, seed=2))
+    p1 = pvalue_bounds(cov, 1.1346, 20_000, seed=12)
+    assert 0.045 < p1 < 0.055
+    assert p1.se * math.sqrt(20_000 / gptest.DEFAULT_N_SIMS) <= math.sqrt(0.05 * 0.95 / 1e4)
+    assert gptest.DEFAULT_N_SIMS % 256 == 0
+
+
 class TestEarlyStop:
-    @pytest.mark.parametrize("case, n, seed, n_sims, count", [
-        ("C3", 50, 1, 2000, 782),
-        ("C3", 50, 1, 70_000, 28486),
-        ("C8", 100, 6, 2000, 14),
-        ("C8", 100, 6, 70_000, 487),
-        ("C1", 100, 2, 2000, 1984),
-        ("C1", 100, 2, 70_000, 69425.5),
-    ])
-    def test_without_stop_at_p1_is_pinned(self, case, n, seed, n_sims, count):
-        # mid-p counts of the segmented sampler at draw seed 99
+    @pytest.mark.parametrize("case, n, seed, n_sims, p1", [
+        ("C3", 50, 1, 2000, 0.4026715338286167),
+        ("C3", 50, 1, 70_000, 0.4081308205577301),
+        ("C8", 100, 6, 2000, 0.0065540560305338905),
+        ("C8", 100, 6, 70_000, 0.0067476043521369124),
+        ("C1", 100, 2, 2000, 0.9927316825173466),
+        ("C1", 100, 2, 70_000, 0.9916251226472126),
+    ], ids=["C3-50-1-2000", "C3-50-1-70000", "C8-100-6-2000", "C8-100-6-70000",
+            "C1-100-2-2000", "C1-100-2-70000"])
+    def test_without_stop_at_p1_is_pinned(self, case, n, seed, n_sims, p1):
+        # draw seed 99; the last bits follow the platform's exp and BLAS
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
-        assert pvalue_bounds(cov, statistic_and_t_star(s)[0], n_sims, seed=99) == count / n_sims
+        stat = statistic_and_t_star(s)[0]
+        assert pvalue_bounds(cov, stat, n_sims, seed=99) == pytest.approx(p1, rel=1e-12)
 
     @pytest.mark.parametrize("n_sims", [2000, 70_000])
     def test_a_run_that_never_stops_returns_p1(self, n_sims):
-        # a stop_at that no count reaches makes every draw of the same segments
+        # a stop_at that no sum reaches makes every draw, in other blocks
         s = case_sample("C3", 50, seed=1)
         cov = build_covariance(build_grid(s, 100), s)
         stat = statistic_and_t_star(s)[0]
@@ -292,35 +438,29 @@ class TestEarlyStop:
         assert 0.05 <= stopped < full
 
     def test_count_equal_to_the_level_does_not_reject(self):
-        # find a statistic whose full mid-p count is exactly 100 of 2000
+        # a stop_at equal to the full p1 is reached by the last draw only,
+        # and a p1 equal to the level does not reject
         s = case_sample("C8", 100, seed=6)
         cov = build_covariance(build_grid(s, 100), s)
-        lo, hi = 0.0, 10.0
-        for _ in range(100):
-            stat = 0.5 * (lo + hi)
-            full = pvalue_bounds(cov, stat, 2000, seed=99)
-            if full == 0.05:
-                break
-            lo, hi = (stat, hi) if full > 0.05 else (lo, stat)
-        stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=0.05)
-        assert stopped == full == 100 / 2000
-        assert not stopped < 0.05
+        full = pvalue_bounds(cov, 1.0, 2000, seed=99)
+        stopped = pvalue_bounds(cov, 1.0, 2000, seed=99, stop_at=full)
+        assert stopped == full
+        assert not stopped < full
 
     def test_ties_at_zero_count_one_half_before_the_stop(self):
-        # the one live point is N(0, 1) and the maximum is max(Z, 0), so at
-        # statistic 0 every Z <= 0 is a tie; the first block of 256 settles it
+        # the one live point is N(0, 1) and the maximum is max(W, 0); given
+        # the draw off its line (nothing here) W > 0 has probability 1/2, so
+        # each draw adds 1/2 + 1/2 * 1/2 and the first block of 256 settles it
         cov = unit_variance_cov()
-        z = make_rng(5).standard_normal(256)
-        count = np.count_nonzero(z > 0) + 0.5 * np.count_nonzero(z <= 0)
-        assert count / 2000 >= 0.05
-        assert pvalue_bounds(cov, 0.0, 2000, seed=5, stop_at=0.05) == count / 2000
+        assert 256 * 0.75 / 2000 >= 0.05
+        assert pvalue_bounds(cov, 0.0, 2000, seed=5, stop_at=0.05) == 256 * 0.75 / 2000
 
     @pytest.mark.parametrize("stop_at", [0.0, -1.0, float("nan")])
     def test_stop_at_must_be_positive(self, stop_at):
-        # any count reaches stop_at <= 0 after the first block, which would
-        # return a p1 that rejects where the full test (p1 0.9934) does not
+        # any sum reaches stop_at <= 0 after the first block, which would
+        # return a p1 that rejects where the full test (p1 0.9936) does not
         s = case_sample("C1", 100, seed=3)
-        assert gptest.test_st_wj(s, seed=5).p1 == 0.9934
+        assert gptest.test_st_wj(s, seed=5).p1 == pytest.approx(0.9936050817956652, rel=1e-12)
         cov = build_covariance(build_grid(s, 100), s)
         with pytest.raises(ParameterError, match="stop_at must be > 0"):
             pvalue_bounds(cov, statistic_and_t_star(s)[0], 2000, seed=5, stop_at=stop_at)
@@ -341,60 +481,42 @@ class _RecordingRng:
 
 
 class TestBlockMemoryBound:
-    def record_blocks(self, monkeypatch, threads=False):
-        """Record every normal block, with one thread or with two, and the
-        segments whose generators were made."""
+    def record_blocks(self, monkeypatch):
+        """Record every normal block of the one stream."""
         shapes = []
-        self.segments = []
-
-        def recording_rng(seed, jump=0):
-            self.segments.append(jump)
-            return _RecordingRng(make_rng(seed, jump=jump), shapes)
-
-        monkeypatch.setattr(gptest, "make_rng", recording_rng)
-        force_threads(monkeypatch, threads)
+        monkeypatch.setattr(gptest, "make_rng", lambda seed: _RecordingRng(make_rng(seed), shapes))
         return shapes
 
     def test_blocks_are_unchanged_up_to_dim_128(self, monkeypatch):
         cov = GpCovariance(cell=np.arange(1, 129), r=np.full(128, 1 / 128), q=np.zeros(128),
                            n_points=129)
-        # where the run can stop early, blocks grow from 256 by 4 to the
-        # 2048-draw segment, which 64 MiB does not lower at dim 128, and end
-        # where a segment ends; this stop_at is never reached
+        # where the run can stop early, blocks grow from 256 by 4 to 2048
+        # draws, which 64 MiB does not lower at dim 128; this stop_at is
+        # never reached
         shapes = self.record_blocks(monkeypatch)
         assert pvalue_bounds(cov, 1.0, 100_000, seed=3, stop_at=0.99) < 0.99
-        assert shapes == [(256, 128), (1_024, 128), (768, 128)] + [(2_048, 128)] * 47 + [
-            (1_696, 128)]
-        assert self.segments == list(range(49))
-        # a run that makes every draw takes one block per segment
+        assert shapes == [(256, 128), (1_024, 128)] + [(2_048, 128)] * 48 + [(416, 128)]
+        # a run that makes every draw takes the largest blocks from the start
         shapes = self.record_blocks(monkeypatch)
         pvalue_bounds(cov, 1.0, 100_000, seed=3)
         assert shapes == [(2_048, 128)] * 48 + [(1_696, 128)]
-        assert self.segments == list(range(49))
-        # two threads draw each segment in one block, in whichever order
-        shapes = self.record_blocks(monkeypatch, threads=True)
-        pvalue_bounds(cov, 1.0, 100_000, seed=3)
-        assert sorted(shapes) == [(1_696, 128)] + [(2_048, 128)] * 48
-        assert sorted(self.segments) == list(range(49))
 
-    @pytest.mark.parametrize("case, n, seed, n_sims, count", [
-        ("C3", 50, 1, 2000, 782),
-        ("C8", 100, 6, 70_000, 487),
-        ("C1", 100, 2, 70_000, 69425.5),
+    @pytest.mark.parametrize("case, n, seed, n_sims", [
+        ("C3", 50, 1, 2000),
+        ("C8", 100, 6, 70_000),
+        ("C1", 100, 2, 70_000),
     ])
-    def test_capped_blocks_keep_p1(self, monkeypatch, case, n, seed, n_sims, count):
-        # the pinned counts of TestEarlyStop, drawn in blocks of 100 draws,
-        # and of 50 draws a thread where two threads draw
+    def test_capped_blocks_keep_p1(self, monkeypatch, case, n, seed, n_sims):
+        # blocks of 100 draws give p1 and its standard error bit for bit
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
+        stat = statistic_and_t_star(s)[0]
+        full = pvalue_bounds(cov, stat, n_sims, seed=99)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 100)
         shapes = self.record_blocks(monkeypatch)
-        assert pvalue_bounds(cov, statistic_and_t_star(s)[0], n_sims, seed=99) == count / n_sims
+        capped = pvalue_bounds(cov, stat, n_sims, seed=99)
+        assert (capped, capped.se) == (full, full.se)
         assert max(rows for rows, _ in shapes) == 100
-        assert sum(rows for rows, _ in shapes) == n_sims
-        shapes = self.record_blocks(monkeypatch, threads=True)
-        assert pvalue_bounds(cov, statistic_and_t_star(s)[0], n_sims, seed=99) == count / n_sims
-        assert max(rows for rows, _ in shapes) == (50 if n_sims > 2048 else 100)
         assert sum(rows for rows, _ in shapes) == n_sims
 
     def test_a_budget_below_one_draw_still_draws_one(self, monkeypatch):
@@ -422,208 +544,19 @@ class TestBlockMemoryBound:
         assert max(rows for rows, _ in shapes) == 64
 
 
-def cov_of(s: PairedSample, k):
-    return build_covariance(build_grid(s, k), s)
-
-
-class _TwoThreadDraws:
-    """A patched draw under which both threads draw, each counting its
-    blocks, and which raises fail in the worker thread (in_worker) or in
-    the calling thread, once the other thread is inside its first block."""
-
-    def __init__(self, fail=None, in_worker=True):
-        self.real = gptest._draw
-        self.fail = fail
-        self.in_worker = in_worker
-        self.calls = {}
-        self.worker = None
-        self.worker_drew = threading.Event()
-        self.main_raised = threading.Event()
-
-    def __call__(self, *args, **kwargs):
-        me = threading.current_thread()
-        self.calls[me.name] = self.calls.get(me.name, 0) + 1
-        if me is threading.main_thread():
-            assert self.worker_drew.wait(10)
-            if self.fail is not None and self.in_worker:
-                self.worker.join(10)  # the worker has raised and ended
-            elif self.fail is not None:
-                self.main_raised.set()
-                raise self.fail
-        else:
-            self.worker = me
-            self.worker_drew.set()
-            if self.fail is not None and self.in_worker:
-                raise self.fail
-            if self.fail is not None:
-                assert self.main_raised.wait(10)
-                time.sleep(0.2)  # the calling thread records its failure meanwhile
-        return self.real(*args, **kwargs)
-
-
-class TestTwoThreads:
-    @pytest.mark.parametrize("make, stats", [
-        (unit_variance_cov, (0.0, 1.0)),
-        (lambda: cov_of(ordinal_sample(), None), (0.0, 0.5)),
-        (lambda: cov_of(case_sample("C8", 100, seed=6), 100), (0.5, 1.5)),
-        (lambda: cov_of(case_sample("C3", 300, seed=3), 100), (0.5, 1.0)),
-        (lambda: GpCovariance(cell=np.arange(1, 130), r=np.full(129, 1 / 129), q=np.zeros(129),
-                              n_points=130), (1.0,)),
-        (lambda: cov_of(case_sample("C1", 150, seed=5), None), (0.2, 0.8)),
-    ], ids=["dim1", "ordinal_k_none", "C8_k100", "C3_k100", "dim129", "C1_k_none"])
-    def test_p1_is_the_same_with_and_without_threads(self, monkeypatch, make, stats):
-        cov = make()
-        threads = threading.active_count()
-        for stat in stats:
-            force_threads(monkeypatch, False)
-            serial = pvalue_bounds(cov, stat, 5_000, seed=7)
-            assert 0.0 < serial < 1.0
-            assert threading.active_count() == threads
-            if serial < 0.9:  # the stop path walks the same segments
-                assert pvalue_bounds(cov, stat, 5_000, seed=7, stop_at=0.9) == serial
-            force_threads(monkeypatch, True)
-            assert pvalue_bounds(cov, stat, 5_000, seed=7) == serial
-            # no thread outlives a call that returns
-            assert threading.active_count() == threads
-            # blocks of at most 300 draws, 150 a thread
-            with monkeypatch.context() as capped:
-                capped.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 300)
-                assert pvalue_bounds(cov, stat, 5_000, seed=7) == serial
-                force_threads(capped, False)
-                assert pvalue_bounds(cov, stat, 5_000, seed=7) == serial
-
-    def test_both_threads_draw(self, monkeypatch):
-        cov = cov_of(case_sample("C3", 300, seed=3), 100)
-        force_threads(monkeypatch, False)
-        serial = pvalue_bounds(cov, 0.5, 10_000, seed=7)
-        force_threads(monkeypatch, True)
-        draws = _TwoThreadDraws()
-        monkeypatch.setattr(gptest, "_draw", draws)
-        assert pvalue_bounds(cov, 0.5, 10_000, seed=7) == serial
-        # one block per segment, at least one in each thread
-        assert len(draws.calls) == 2 and sum(draws.calls.values()) == 5
-
-    @pytest.mark.parametrize("fail, in_worker", [
-        (ValueError("worker"), True),
-        (MemoryError(), True),
-        (MemoryError(), False),
-        (KeyboardInterrupt(), False),
-    ], ids=["ValueError_in_worker", "MemoryError_in_worker", "MemoryError_here",
-            "KeyboardInterrupt_here"])
-    def test_the_first_exception_is_raised_here_and_no_thread_is_left(self, monkeypatch, fail,
-                                                                      in_worker):
-        cov = cov_of(case_sample("C3", 300, seed=3), 100)
-        force_threads(monkeypatch, True)
-        draws = _TwoThreadDraws(fail, in_worker)
-        monkeypatch.setattr(gptest, "_draw", draws)
-        threads = threading.active_count()
-        with pytest.raises(type(fail)) as raised:
-            pvalue_bounds(cov, 0.5, 20_000, seed=7)
-        assert raised.value is fail
-        assert threading.active_count() == threads
-        # of the ten segments, the failing thread drew one block, and the
-        # other stopped after the block it was drawing, if any
-        assert max(draws.calls.values()) == 1
-        assert sum(draws.calls.values()) <= 2
-
-    def test_ctrl_c_in_join_stops_the_worker(self, monkeypatch):
-        cov = cov_of(case_sample("C3", 300, seed=3), 100)
-        force_threads(monkeypatch, True)
-        real, join = gptest._draw, threading.Thread.join
-        worker_drew = threading.Event()
-
-        def slow_in_the_worker(*args, **kwargs):
-            if threading.current_thread() is threading.main_thread():
-                assert worker_drew.wait(10)
-            else:
-                worker_drew.set()
-                time.sleep(0.2)  # the calling thread reaches join meanwhile
-            return real(*args, **kwargs)
-
-        def interrupted_join(self, timeout=None):
-            monkeypatch.setattr(threading.Thread, "join", join)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(gptest, "_draw", slow_in_the_worker)
-        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
-        threads = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            pvalue_bounds(cov, 0.5, 20_000, seed=7)
-        assert threading.active_count() == threads
-
-    def test_concurrent_calls_each_draw_every_segment_once(self, monkeypatch):
-        # four callers, each with a second thread, on two CPUs or fewer, with
-        # a 10 us switch interval: a segment taken twice or skipped moves p1
-        cov = cov_of(case_sample("C8", 100, seed=6), 100)
-        force_threads(monkeypatch, False)
-        expected = [pvalue_bounds(cov, 0.5, 12_000, seed=seed) for seed in range(4)]
-        force_threads(monkeypatch, True)
-        got = [None] * 4
-
-        def call(i):
-            got[i] = pvalue_bounds(cov, 0.5, 12_000, seed=i)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert got == expected
-
-    def test_a_thread_that_cannot_start_leaves_the_draws_here(self, monkeypatch):
-        cov = cov_of(case_sample("C8", 100, seed=6), 100)
-        force_threads(monkeypatch, False)
-        serial = pvalue_bounds(cov, 0.5, 10_000, seed=7)
-        force_threads(monkeypatch, True)
-
-        def cannot_start(self):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", cannot_start)
-        assert pvalue_bounds(cov, 0.5, 10_000, seed=7) == serial
-
-    def test_when_a_second_thread_draws(self, monkeypatch):
-        # every draw made, two segments or more, 2**18 normals or more, and
-        # two usable CPUs
-        started = record_thread_starts(monkeypatch)
-
-        def threaded(cov, n_sims, **kwargs):
-            before = len(started)
-            pvalue_bounds(cov, 0.5, n_sims, seed=7, **kwargs)
-            return len(started) - before
-
-        wide = cov_of(case_sample("C3", 300, seed=3), 100)
-        assert wide.dim * 4_000 >= 2**18 > wide.dim * 2_048
-        narrow = cov_of(ordinal_sample(), None)
-        assert narrow.dim * 10_000 < 2**18
-        may_use_two_cpus(monkeypatch, True)
-        assert threaded(wide, 4_000) == 1
-        assert threaded(wide, 4_000, stop_at=1.5) == 1
-        assert threaded(wide, 4_000, stop_at=0.99) == 0
-        assert threaded(wide, 2_048) == 0
-        assert threaded(narrow, 10_000) == 0
-        may_use_two_cpus(monkeypatch, False)
-        assert threaded(wide, 4_000) == 0
-
-    def test_two_cpus_outside_a_multiprocessing_child(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert gptest._two_cpus()
-        with monkeypatch.context() as child:
-            child.setitem(sys.modules, "multiprocessing",
-                          types.SimpleNamespace(parent_process=lambda: object()))
-            assert not gptest._two_cpus()
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+def test_two_cpus_outside_a_multiprocessing_child(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert gptest._two_cpus()
+    with monkeypatch.context() as child:
+        child.setitem(sys.modules, "multiprocessing",
+                      types.SimpleNamespace(parent_process=lambda: object()))
         assert not gptest._two_cpus()
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert not gptest._two_cpus()
 
 
 class TestFullTest:
@@ -666,9 +599,17 @@ class TestFullTest:
         res = gptest.test_st_wj(s, 100, 2000, seed=6)
         assert res.cells == build_covariance(build_grid(s, 100), s).dim
         assert 0 < res.cells <= 101
-        assert res.p_se == pytest.approx(np.sqrt(res.p1 * (1 - res.p1) / 2000), rel=1e-12)
+        # values in [0, 1] vary less than indicators with the same mean
+        assert 0.0 < res.p_se <= np.sqrt(res.p1 * (1 - res.p1) / 1999)
         assert (res.statistic, res.t_star) == statistic_and_t_star(s)
         assert 0.0 <= res.t_star <= np.abs(s.x - s.y).max()
+
+    def test_p_se_is_the_simulations_standard_error(self):
+        s = case_sample("C3", 120, seed=40)
+        res = gptest.test_st_wj(s, 100, 2000, seed=41)
+        p1 = pvalue_bounds(cov_of(s), res.statistic, 2000, seed=41)
+        assert (res.p1, res.p_se) == (p1, p1.se)
+        assert type(res.p1) is float
 
     def test_stop_at_ends_the_simulation_early(self):
         # C1 is ordered, so p1 is near 1 and the first block of 256 settles 0.05

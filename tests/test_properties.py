@@ -94,8 +94,8 @@ def test_quantile_monotone(p):
 
 
 def test_pvalue_chunking_is_stream_invariant(monkeypatch):
-    # exercises the segment boundaries: 70000 draws span 35 segments of
-    # 2048, and a 1000-draw block budget cuts each one elsewhere
+    # 70000 draws in blocks of 2048, and in blocks of 1000 under a smaller
+    # budget, are the same draws with the same sum
     s = generate_scenario(scenario("C3"), 50, 1)
     cov = build_covariance(build_grid(s, 6), s)
     small = pvalue_bounds(cov, 1.2, 65_536, seed=12345)

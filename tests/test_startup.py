@@ -58,6 +58,20 @@ def test_cli_test_command_loads_no_scipy(tmp_path):
     assert (tmp_path / "res.json").exists()
 
 
+def test_cli_test_at_its_defaults_loads_no_scipy_module(tmp_path):
+    # the p-value's normal tail is numpy only: no module of scipy at all
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("x,y\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(60)) + "\n")
+    code = (
+        "from pairdom.cli import main\n"
+        f"assert main(['test', '--input', {str(pairs)!r}, '--seed', '1',"
+        f" '--output', {str(tmp_path / 'res.json')!r}]) == 0\n"
+        "import sys\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert run_fresh(code).split() == []
+
+
 def test_import_and_cli_test_load_no_process_machinery(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("x,y\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(60)) + "\n")
