@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import threading
 import types
 
 import numpy as np
@@ -368,28 +369,6 @@ class TestLineEstimator:
         assert far.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("make, stats", [
-    (unit_variance_cov, (0.0, 1.0)),
-    (lambda: cov_of(ordinal_sample(), None), (0.0, 0.5)),
-    (lambda: cov_of(case_sample("C8", 100, seed=6)), (0.5, 1.5)),
-    (lambda: cov_of(case_sample("C3", 300, seed=3)), (0.5, 1.0)),
-    (lambda: GpCovariance(cell=np.arange(1, 130), r=np.full(129, 1 / 129), q=np.zeros(129),
-                          n_points=130), (1.0,)),
-    (lambda: cov_of(case_sample("C1", 150, seed=5), None), (0.2, 0.8)),
-], ids=["dim1", "ordinal_k_none", "C8_k100", "C3_k100", "dim129", "C1_k_none"])
-def test_blocks_do_not_change_p1(monkeypatch, make, stats):
-    cov = make()
-    for stat in stats:
-        full = pvalue_bounds(cov, stat, 5_000, seed=7)
-        assert 0.0 < full < 1.0
-        if full < 0.9:  # the stop path draws blocks of 256, 1024 and 2048
-            assert pvalue_bounds(cov, stat, 5_000, seed=7, stop_at=0.9) == full
-        with monkeypatch.context() as capped:  # blocks of at most 300 draws
-            capped.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 300)
-            p1 = pvalue_bounds(cov, stat, 5_000, seed=7)
-        assert (p1, p1.se) == (full, full.se)
-
-
 def test_default_draws_meet_their_rule_on_the_sample_that_sized_them():
     # the C1 sample whose spread set DEFAULT_N_SIMS: at the 0.95 quantile
     # of its plain maxima, 1280 draws have a standard error of at most
@@ -401,22 +380,42 @@ def test_default_draws_meet_their_rule_on_the_sample_that_sized_them():
     assert gptest.DEFAULT_N_SIMS % 256 == 0
 
 
+# Mid-p counts of maxima above the statistic that indicator counting drew
+# at seed 99, and the line estimator's p1 at the same seed
+PINNED_COUNTS = [
+    ("C3", 50, 1, 2000, 782),
+    ("C3", 50, 1, 70_000, 28486),
+    ("C8", 100, 6, 2000, 14),
+    ("C8", 100, 6, 70_000, 487),
+    ("C1", 100, 2, 2000, 1984),
+    ("C1", 100, 2, 70_000, 69425.5),
+]
+PINNED_P1 = {
+    ("C3", 2000): 0.4026715338286167,
+    ("C3", 70_000): 0.4081308205577301,
+    ("C8", 2000): 0.0065540560305338905,
+    ("C8", 70_000): 0.0067476043521369124,
+    ("C1", 2000): 0.9927316825173466,
+    ("C1", 70_000): 0.9916251226472126,
+}
+
+
+def assert_near_the_indicator_count(p1, count, n_sims):
+    # both estimate the same p-value; the count's binomial error is the larger
+    p = count / n_sims
+    assert abs(p1 - p) <= 4 * math.sqrt(p * (1 - p) / n_sims), (float(p1), p)
+
+
 class TestEarlyStop:
-    @pytest.mark.parametrize("case, n, seed, n_sims, p1", [
-        ("C3", 50, 1, 2000, 0.4026715338286167),
-        ("C3", 50, 1, 70_000, 0.4081308205577301),
-        ("C8", 100, 6, 2000, 0.0065540560305338905),
-        ("C8", 100, 6, 70_000, 0.0067476043521369124),
-        ("C1", 100, 2, 2000, 0.9927316825173466),
-        ("C1", 100, 2, 70_000, 0.9916251226472126),
-    ], ids=["C3-50-1-2000", "C3-50-1-70000", "C8-100-6-2000", "C8-100-6-70000",
-            "C1-100-2-2000", "C1-100-2-70000"])
-    def test_without_stop_at_p1_is_pinned(self, case, n, seed, n_sims, p1):
+    @pytest.mark.parametrize("case, n, seed, n_sims, count", PINNED_COUNTS)
+    def test_without_stop_at_p1_is_pinned(self, case, n, seed, n_sims, count):
         # draw seed 99; the last bits follow the platform's exp and BLAS
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
         stat = statistic_and_t_star(s)[0]
-        assert pvalue_bounds(cov, stat, n_sims, seed=99) == pytest.approx(p1, rel=1e-12)
+        p1 = pvalue_bounds(cov, stat, n_sims, seed=99)
+        assert p1 == pytest.approx(PINNED_P1[case, n_sims], rel=1e-12)
+        assert_near_the_indicator_count(p1, count, n_sims)
 
     @pytest.mark.parametrize("n_sims", [2000, 70_000])
     def test_a_run_that_never_stops_returns_p1(self, n_sims):
@@ -501,12 +500,9 @@ class TestBlockMemoryBound:
         pvalue_bounds(cov, 1.0, 100_000, seed=3)
         assert shapes == [(2_048, 128)] * 48 + [(1_696, 128)]
 
-    @pytest.mark.parametrize("case, n, seed, n_sims", [
-        ("C3", 50, 1, 2000),
-        ("C8", 100, 6, 70_000),
-        ("C1", 100, 2, 70_000),
-    ])
-    def test_capped_blocks_keep_p1(self, monkeypatch, case, n, seed, n_sims):
+    @pytest.mark.parametrize("case, n, seed, n_sims, count",
+                             [PINNED_COUNTS[i] for i in (0, 3, 5)])
+    def test_capped_blocks_keep_p1(self, monkeypatch, case, n, seed, n_sims, count):
         # blocks of 100 draws give p1 and its standard error bit for bit
         s = case_sample(case, n, seed)
         cov = build_covariance(build_grid(s, 100), s)
@@ -518,6 +514,7 @@ class TestBlockMemoryBound:
         assert (capped, capped.se) == (full, full.se)
         assert max(rows for rows, _ in shapes) == 100
         assert sum(rows for rows, _ in shapes) == n_sims
+        assert_near_the_indicator_count(capped, count, n_sims)
 
     def test_a_budget_below_one_draw_still_draws_one(self, monkeypatch):
         s = case_sample("C3", 50, seed=1)
@@ -544,19 +541,121 @@ class TestBlockMemoryBound:
         assert max(rows for rows, _ in shapes) == 64
 
 
-def test_two_cpus_outside_a_multiprocessing_child(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert gptest._two_cpus()
-    with monkeypatch.context() as child:
-        child.setitem(sys.modules, "multiprocessing",
-                      types.SimpleNamespace(parent_process=lambda: object()))
+def record_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def on_a_thread(f, *args, **kwargs):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(f(*args, **kwargs)))
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+class TestTwoThreads:
+    """pvalue_bounds draws on the thread that calls it and starts none.
+
+    Its p1 does not depend on the thread, on the CPUs the process may use
+    (_two_cpus, which the harness helper reads) or on the blocks; calls on
+    several threads at once do not disturb one another; and an exception
+    in a draw reaches the caller at once."""
+
+    @pytest.mark.parametrize("make, stats", [
+        (unit_variance_cov, (0.0, 1.0)),
+        (lambda: cov_of(ordinal_sample(), None), (0.0, 0.5)),
+        (lambda: cov_of(case_sample("C8", 100, seed=6)), (0.5, 1.5)),
+        (lambda: cov_of(case_sample("C3", 300, seed=3)), (0.5, 1.0)),
+        (lambda: GpCovariance(cell=np.arange(1, 130), r=np.full(129, 1 / 129), q=np.zeros(129),
+                              n_points=130), (1.0,)),
+        (lambda: cov_of(case_sample("C1", 150, seed=5), None), (0.2, 0.8)),
+    ], ids=["dim1", "ordinal_k_none", "C8_k100", "C3_k100", "dim129", "C1_k_none"])
+    def test_p1_is_the_same_with_and_without_threads(self, monkeypatch, make, stats):
+        cov = make()
+        started = record_thread_starts(monkeypatch)
+        for stat in stats:
+            full = pvalue_bounds(cov, stat, 5_000, seed=7)
+            assert 0.0 < full < 1.0
+            if full < 0.9:  # the stop path draws blocks of 256, 1024 and 2048
+                assert pvalue_bounds(cov, stat, 5_000, seed=7, stop_at=0.9) == full
+            with monkeypatch.context() as capped:  # blocks of at most 300 draws
+                capped.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 300)
+                p1 = pvalue_bounds(cov, stat, 5_000, seed=7)
+            assert (p1, p1.se) == (full, full.se)
+            assert started == []
+            for two_cpus in (True, False):
+                monkeypatch.setattr(gptest, "_two_cpus", lambda two_cpus=two_cpus: two_cpus)
+                p1 = on_a_thread(pvalue_bounds, cov, stat, 5_000, seed=7)
+                assert (p1, p1.se) == (full, full.se)
+            assert len(started) == 2  # the threads of on_a_thread only
+            started.clear()
+
+    @pytest.mark.parametrize("fail", [ValueError("draw"), MemoryError(), KeyboardInterrupt()],
+                             ids=["ValueError", "MemoryError", "KeyboardInterrupt"])
+    def test_the_first_exception_is_raised_here_and_no_thread_is_left(self, monkeypatch, fail):
+        cov = cov_of(case_sample("C3", 300, seed=3))
+        calls = []
+
+        def failing_draw(*args):
+            calls.append(args)
+            raise fail
+
+        monkeypatch.setattr(gptest, "_draw", failing_draw)
+        started = record_thread_starts(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(type(fail)) as raised:
+            pvalue_bounds(cov, 0.5, 20_000, seed=7)
+        assert raised.value is fail
+        # the first of ten blocks raised, and no block was drawn after it
+        assert len(calls) == 1
+        assert started == [] and threading.active_count() == threads
+
+    def test_concurrent_calls_each_draw_every_segment_once(self):
+        # four callers on two CPUs or fewer, with a 10 us switch interval:
+        # each draws its own stream, every block of it once, in order; a
+        # block taken twice, skipped or taken from another call moves p1
+        cov = cov_of(case_sample("C8", 100, seed=6))
+        expected = [pvalue_bounds(cov, 0.5, 12_000, seed=seed) for seed in range(4)]
+        got = [None] * 4
+
+        def call(i):
+            got[i] = pvalue_bounds(cov, 0.5, 12_000, seed=i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert [(p.se, float(p)) for p in got] == [(p.se, float(p)) for p in expected]
+
+    def test_two_cpus_outside_a_multiprocessing_child(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert gptest._two_cpus()
+        with monkeypatch.context() as child:
+            child.setitem(sys.modules, "multiprocessing",
+                          types.SimpleNamespace(parent_process=lambda: object()))
+            assert not gptest._two_cpus()
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert not gptest._two_cpus()
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert not gptest._two_cpus()
 
 
 class TestFullTest:
