@@ -17,6 +17,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -100,6 +101,28 @@ def write_columns_csv(header: str, columns: Sequence, dest: str | Path | TextIO)
         dest.write(",".join([repr(float(v)) for v in row]) + "\n")
 
 
+def _rows_after_header(
+    path: str | Path, header: str
+) -> tuple[list[list[str]], Exception | None]:
+    """Every row of a CSV after its header line, blank rows included, and
+    the error that stopped the reading before the end, if one did (a field
+    over csv's size limit, or bytes that are not UTF-8). The caller raises
+    that error only when the rows before it hold none, so the first error
+    in file order wins. A header other than ``header`` is a
+    CsvFormatError on line 1."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header.split(","):
+            raise CsvFormatError(1, f"expected header '{header}'")
+        rows: list[list[str]] = []
+        try:
+            rows.extend(reader)  # keeps the rows read before an error
+        except (csv.Error, UnicodeDecodeError) as exc:
+            return rows, exc
+        return rows, None
+
+
 def read_columns_csv(
     path: str | Path, header: str, parse_row: Callable[[list[str]], tuple]
 ) -> list[tuple]:
@@ -110,33 +133,59 @@ def read_columns_csv(
     ValueError, is an error on its own line; no data rows is an error on
     line 2. Every error is a CsvFormatError.
     """
-    names = header.split(",")
+    width = len(header.split(","))
+    lines, late = _rows_after_header(path, header)
     rows: list[tuple] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != names:
-            raise CsvFormatError(1, f"expected header '{header}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise CsvFormatError(lineno, f"expected {len(names)} fields, got {len(row)}")
-            try:
-                rows.append(parse_row(row))
-            except ValueError as exc:
-                raise CsvFormatError(lineno, str(exc)) from exc
+    for lineno, row in enumerate(lines, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise CsvFormatError(lineno, f"expected {width} fields, got {len(row)}")
+        try:
+            rows.append(parse_row(row))
+        except ValueError as exc:
+            raise CsvFormatError(lineno, str(exc)) from exc
+    if late is not None:
+        raise late
     if not rows:
         raise CsvFormatError(2, "no data rows")
     return rows
 
 
-def float_fields(row: list[str]) -> tuple[float, ...]:
-    """A CSV row's fields as floats, for read_columns_csv."""
+def read_float_csv(path: str | Path, header: str) -> np.ndarray:
+    """The data rows of a CSV whose header is ``header`` as a float array,
+    one row per data row.
+
+    The same rows, values and errors as read_columns_csv with float
+    fields, a field float() rejects being "not a number", in one pass: the
+    widths are checked together, then every field up to the first row of
+    the wrong width is parsed with one float() sweep, so the first error in
+    file order is the one raised.
+    """
+    width = len(header.split(","))
+    rows, late = _rows_after_header(path, header)
+    kept = list(filter(None, rows))  # blank rows are []
+
+    def line_of(i: int) -> int:
+        """The line of kept row i: the header, then every row, blank or not."""
+        return [j for j, row in enumerate(rows, start=2) if row][i]
+
+    widths = list(map(len, kept))
+    wrong = len(kept)  # the first kept row of the wrong width
+    if widths.count(width) != len(kept):
+        wrong = next(i for i, w in enumerate(widths) if w != width)
+    values: list[float] = []
     try:
-        return tuple(map(float, row))
+        values.extend(map(float, chain.from_iterable(kept[:wrong])))
     except ValueError as exc:
-        raise ValueError(f"not a number: {exc}") from exc
+        raise CsvFormatError(line_of(len(values) // width), f"not a number: {exc}") from exc
+    if wrong < len(kept):
+        raise CsvFormatError(line_of(wrong), f"expected {width} fields, got {widths[wrong]}")
+    if late is not None:
+        raise late
+    if not kept:
+        raise CsvFormatError(2, "no data rows")
+    return np.array(values).reshape(-1, width)
 
 
 def write_json(payload: dict, dest: str | Path | TextIO) -> None:
@@ -156,5 +205,5 @@ def write_paired_csv(s: PairedSample, dest: str | Path | TextIO) -> None:
 
 def read_paired_csv(path: str | Path) -> PairedSample:
     """Read a paired sample from CSV with header ``x,y``."""
-    x, y = zip(*read_columns_csv(path, "x,y", float_fields))
-    return PairedSample(np.array(x), np.array(y))
+    x, y = read_float_csv(path, "x,y").T.copy()
+    return PairedSample(x, y)

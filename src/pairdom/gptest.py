@@ -62,12 +62,25 @@ the moving values stay <= 0. A dense draw with a vanishing
 regularization puts that zero-variance point above 0 in half the draws;
 counting ties one half keeps p1 where such a draw puts it.
 
-Draws. The n_sims draws come from one stream, make_rng(seed), in blocks
-of at most 2048 draws and 64 MiB of normals; a block's normals are the
-next ones of the stream whatever the block sizes. p1 is the running sum
-of the draws' values, added left to right over all draws, over n_sims;
-so p1 depends only on (covariance, statistic, n_sims, seed), not on the
-blocks, and the running sum never decreases.
+Draws. The draws come in antithetic pairs (Hammersley & Morton 1956,
+Proc. Camb. Phil. Soc. 52:449-475; Asmussen & Glynn 2007, ch. V): normal
+row j, the next dim normals of the seed's one stream make_rng(seed),
+gives draw 2j from Z_j and draw 2j + 1 from -Z_j, so n_sims draws take
+ceil(n_sims / 2) rows; an odd last row's -Z_j draw is not made. -Z has
+the law of Z, so each draw keeps its mean. A pair mean has variance
+(1 + rho)/2 times that of one value, for the correlation rho of the two
+values of a pair, which read -0.005 to -0.21 on six samples at
+p = 0.05 and 0.01: at equal n_sims the error is the same or smaller, and
+half the normals are drawn. The draws come in blocks of at most 2048
+draws and 64 MiB of normals (one pair, if that is more), whole pairs in
+each block but the last; a block's rows are the next ones of the stream
+whatever the block sizes.
+p1 is the running sum of the pair sums, added left to right over all
+pairs, over n_sims; so p1 depends only on (covariance, statistic,
+n_sims, seed), not on the blocks, and the running sum never decreases.
+Its standard error is the sample standard deviation of the pair means
+over the square root of their number, since the values of a pair are
+not independent.
 """
 
 from __future__ import annotations
@@ -96,9 +109,10 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 100
 # The smallest multiple of 256 draws whose standard error at p = 0.05,
-# from the draws' own spread, is at most 2.18e-3, the binomial error of
-# 10**4 indicator draws, on every sample of the benchmark's analyst pool
-# and on a C1 sample of 100 pairs (the largest need, 1151 draws).
+# from the spread of the pair means, is at most 2.18e-3, the binomial
+# error of 10**4 indicator draws, on every sample of the benchmark's
+# analyst pool and on a C1 sample of 100 pairs (the largest need, 1083
+# draws).
 DEFAULT_N_SIMS = 1280
 
 
@@ -150,8 +164,8 @@ class TestResult:
     t_star is the smallest t >= 0 where the survival gap reaches its
     supremum, cells is the simulation's effective dimension
     (GpCovariance.dim) and p_se the Monte Carlo standard error of p1: the
-    sample standard deviation of the draws' values over the square root
-    of their number.
+    sample standard deviation of the means of the antithetic draw pairs
+    over the square root of their number.
     """
 
     statistic: float
@@ -344,9 +358,8 @@ def _line(c: GpCovariance) -> _Line:
 
 
 def _draw(z: np.ndarray, stat: float, line: _Line) -> np.ndarray:
-    """Row 0: each draw's probability that the maximum exceeds stat given
-    its normals off the line, a row of z, with mid-p ties; row 1: its
-    square. z is overwritten."""
+    """Each draw's probability that the maximum exceeds stat given its
+    normals off the line, a row of z, with mid-p ties. z is overwritten."""
     size = len(z)
     terms = np.empty((2, size))  # w.Z and the path minus stat
     np.matmul(z, line.w, out=terms[0])
@@ -370,11 +383,9 @@ def _draw(z: np.ndarray, stat: float, line: _Line) -> np.ndarray:
         else:
             np.maximum(top, value, out=top)
     hi += lo
-    out = np.empty((2, size))
-    out[0] = _upper_tail(hi)
+    out = _upper_tail(hi)
     if line.fixed or top >= 0.0:  # a value that does not move is above stat, or ties
-        out[0] = np.where(top > 0.0, 1.0, np.where(top == 0.0, 0.5 + 0.5 * out[0], out[0]))
-    np.multiply(out[0], out[0], out=out[1])
+        out = np.where(top > 0.0, 1.0, np.where(top == 0.0, 0.5 + 0.5 * out, out))
     return out
 
 
@@ -400,21 +411,22 @@ def pvalue_bounds(
 ) -> float:
     """Monte Carlo p-value upper bound p1 for the statistic.
 
-    Draws n_sims paths of the null process on the grid, c.dim normals
-    each, from make_rng(seed), and returns the mean over them of the
-    probability, given the draw off its line, that the maximum exceeds
-    stat (see the module docstring; a maximum equal to stat counts one
-    half). Its se attribute is the sample standard deviation of the
-    values drawn over the square root of their number: the Monte Carlo
-    standard error, which is positive even where p1 is tiny.
+    Draws n_sims paths of the null process on the grid in antithetic
+    pairs, Z and -Z from each row of c.dim normals of make_rng(seed), and
+    returns the mean over them of the probability, given the draw off its
+    line, that the maximum exceeds stat (see the module docstring; a
+    maximum equal to stat counts one half). Its se attribute is the
+    sample standard deviation of the pair means over the square root of
+    their number: the Monte Carlo standard error, which is positive even
+    where p1 is tiny.
 
-    The draws come in blocks of at most 2048 draws and 64 MiB of normals,
-    so memory stays bounded whatever c.dim and n_sims are; the blocks do
-    not change p1. After each block the run returns the running sum over
-    n_sims once that reaches stop_at. The sum never decreases, so the
-    value is a lower bound on the full p1 and both are >= every level
-    <= stop_at: neither rejects there, and a decision at such a level is
-    the full run's. A run that does not stop returns p1 bit for bit, and
+    The draws come in blocks of at most 2048 draws and 64 MiB of normals
+    (or one pair), so memory stays bounded whatever c.dim and n_sims are;
+    the blocks do not change p1. After each block the run returns the
+    running sum over n_sims once that reaches stop_at. The sum never
+    decreases, so the value is a lower bound on the full p1 and both are
+    >= every level <= stop_at: neither rejects there, and a decision at
+    such a level is the full run's. A run that does not stop returns p1 bit for bit, and
     the default 1.0 is reached only by the last draw, if at all. This
     replaces the exact sequential Monte Carlo p-value of Besag & Clifford
     (1991), whose stop rule counted indicators; what stop_at guarantees is
@@ -430,24 +442,38 @@ def pvalue_bounds(
         raise ParameterError(f"stop_at must be > 0, got {stop_at}")
     line = _line(c)
     rng = make_rng(seed)
-    max_block = min(_MAX_BLOCK, max(1, _BLOCK_BYTES // (8 * max(1, c.dim))))
+    # whole pairs of draws in every block but the last; a budget below one
+    # pair still draws one
+    max_block = min(_MAX_BLOCK, max(2, _BLOCK_BYTES // (16 * max(1, c.dim)) * 2))
     # a stop test can fire before the last draw only if stop_at < 1
     block = min(_FIRST_BLOCK, max_block) if stop_at < 1.0 else max_block
-    drawn, total, total_sq = 0, 0.0, 0.0
+    drawn, total, total_m, total_m2 = 0, 0.0, 0.0, 0.0
     while drawn < n_sims:
         size = min(block, n_sims - drawn)
-        sums = _draw(rng.standard_normal((size, c.dim)), stat, line)
-        # the values and their squares, added left to right over every
-        # draw, carried from block to block
-        sums[:, 0] += (total, total_sq)
+        pairs = (size + 1) // 2
+        z = np.empty((2 * pairs, c.dim))
+        rng.standard_normal(out=z[:pairs])
+        np.negative(z[:pairs], out=z[pairs:])
+        values = _draw(z, stat, line)
+        # per pair its sum, its mean and the mean's square, added left to
+        # right over every pair, carried from block to block; an odd last
+        # draw leaves its -Z value out
+        sums = np.empty((3, pairs))
+        np.add(values[:pairs], values[pairs:], out=sums[0])
+        np.multiply(sums[0], 0.5, out=sums[1])
+        if size % 2:
+            sums[:2, -1] = values[pairs - 1]
+        np.multiply(sums[1], sums[1], out=sums[2])
+        sums[:, 0] += (total, total_m, total_m2)
         np.cumsum(sums, axis=1, out=sums)
-        total, total_sq = sums[:, -1].tolist()
+        total, total_m, total_m2 = sums[:, -1].tolist()
         drawn += size
         if total / n_sims >= stop_at:
             break
         block = min(block * _BLOCK_GROWTH, max_block)
-    var = max(0.0, (total_sq - total * total / drawn) / max(1, drawn - 1))
-    return _PValue(total / n_sims, math.sqrt(var / drawn))
+    pairs = (drawn + 1) // 2
+    var = max(0.0, (total_m2 - total_m * total_m / pairs) / max(1, pairs - 1))
+    return _PValue(total / n_sims, math.sqrt(var / pairs))
 
 
 def test_st_wj(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import distributions
 from .distributions import BivariateNormalParams
-from .empirical import float_fields, read_columns_csv, write_columns_csv
+from .empirical import read_float_csv, write_columns_csv
 from .errors import CapacityError, ParameterError
 
 __all__ = [
@@ -282,4 +282,4 @@ def write_atoms_csv(d: DiscreteBivariate, path: str | Path) -> None:
 
 def read_atoms_csv(path: str | Path) -> DiscreteBivariate:
     """Read a discrete bivariate law from CSV with header ``x,y,p``."""
-    return DiscreteBivariate.from_atoms(read_columns_csv(path, "x,y,p", float_fields))
+    return DiscreteBivariate.from_atoms(read_float_csv(path, "x,y,p"))

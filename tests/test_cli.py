@@ -25,8 +25,8 @@ ORDINAL_30 = """
 ORDINAL_30_DISCRETE_JSON = """{
   "statistic": 0.18257418583505533,
   "t_star": 0.0,
-  "p1": 0.5183707582320133,
-  "p_se": 0.0038676306849831947,
+  "p1": 0.5160505316911597,
+  "p_se": 0.0030291155555840403,
   "n": 30,
   "k": 2,
   "cells": 2,
@@ -42,8 +42,8 @@ ORDINAL_30_DISCRETE_JSON = """{
 C3_300_JSON = """{
   "statistic": 0.057735026918962595,
   "t_star": 1.534988159243745,
-  "p1": 0.9135740339343055,
-  "p_se": 0.004254708163251982,
+  "p1": 0.9169460925439148,
+  "p_se": 0.003452644873267052,
   "n": 300,
   "k": 100,
   "cells": 67,
@@ -60,8 +60,8 @@ PORTFOLIO_XY_JSON = """{
   "stwj_forward": {
     "statistic": 0.0,
     "t_star": 0.060338963061181805,
-    "p1": 0.9815267606341699,
-    "p_se": 0.0014763625178555633,
+    "p1": 0.9813855150799007,
+    "p_se": 0.0013703817435031023,
     "n": 339,
     "k": 100,
     "cells": 68,
@@ -73,8 +73,8 @@ PORTFOLIO_XY_JSON = """{
   "stwj_reverse": {
     "statistic": 1.9552516077368465,
     "t_star": 0.014009141152181794,
-    "p1": 0.03981157156551245,
-    "p_se": 0.0008509344832693791,
+    "p1": 0.04018546126850843,
+    "p_se": 0.000801051823680858,
     "n": 339,
     "k": 100,
     "cells": 68,
@@ -96,8 +96,8 @@ PORTFOLIO_XYZ_JSON = """{
   "stwj_forward": {
     "statistic": 0.0,
     "t_star": 0.048271170448945445,
-    "p1": 0.9815267606341699,
-    "p_se": 0.0014763625178555633,
+    "p1": 0.9813855150799007,
+    "p_se": 0.0013703817435031023,
     "n": 339,
     "k": 100,
     "cells": 68,
@@ -109,8 +109,8 @@ PORTFOLIO_XYZ_JSON = """{
   "stwj_reverse": {
     "statistic": 1.9552516077368465,
     "t_star": 0.011207312921745434,
-    "p1": 0.03981157156551245,
-    "p_se": 0.0008509344832693791,
+    "p1": 0.04018546126850843,
+    "p_se": 0.000801051823680858,
     "n": 339,
     "k": 100,
     "cells": 68,
@@ -415,6 +415,27 @@ class TestPortfolioCommand:
             args += ["--z", str(fixture_path("asset_z.csv"))]
         assert run(args) == 0
         assert capsys.readouterr().out == expected
+
+
+    @pytest.mark.parametrize("alpha", ["0.1", "0.2", "0.5", "0.9"])
+    def test_composing_with_z_keeps_the_pairs_analysis(self, capsys, alpha):
+        # P2 - P1 = (1 - alpha) * (Y - X): the differences shrink by one
+        # positive factor, so the grid scales with them and every |d| keeps
+        # its cell; the statistic, the cells and p1 are the plain pair's
+        from pairdom.finance import fixture_path
+
+        args = ["portfolio", "--x", str(fixture_path("asset_x.csv")),
+                "--y", str(fixture_path("asset_y.csv")), "--seed", "17"]
+        assert run(args) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert run(args + ["--z", str(fixture_path("asset_z.csv")), "--alpha", alpha]) == 0
+        composed = json.loads(capsys.readouterr().out)
+        for side in ("stwj_forward", "stwj_reverse"):
+            for key in ("statistic", "cells", "p1", "p_se"):
+                assert composed[side][key] == plain[side][key], (side, key)
+            scaled = (1 - float(alpha)) * plain[side]["t_star"]
+            assert composed[side]["t_star"] == pytest.approx(scaled, rel=1e-12)
+        assert composed["verdict"] == plain["verdict"]
 
 
 class TestSimulateRoundTrip:

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import EmpiricalSurvival, random_paired_sample, survival_at
 from pairdom.empirical import (
     PairedSample,
+    read_columns_csv,
+    read_float_csv,
     read_paired_csv,
     statistic_and_t_star,
     write_paired_csv,
@@ -197,3 +200,67 @@ def test_csv_readers_report_line_and_reason(tmp_path, reader, text, message):
     with pytest.raises(CsvFormatError) as err:
         read(path)
     assert str(err.value) == message
+
+
+def row_loop_floats(path, header):
+    """The row-by-row reader that read_float_csv replaced, as the reference."""
+    def floats(row):
+        try:
+            return tuple(map(float, row))
+        except ValueError as exc:
+            raise ValueError(f"not a number: {exc}") from exc
+
+    return np.array(read_columns_csv(path, header, floats))
+
+
+@pytest.mark.parametrize("header, text, expected", [
+    # a float error before a width error, and a width error before a float error
+    ("x,y", "x,y\n1,2\n\n1,a\n3,4,5\n", "line 4: not a number: could not convert string to float: 'a'"),
+    ("x,y", "x,y\n1,2\n3\n\n1,a\n", "line 3: expected 2 fields, got 1"),
+    ("x,y", "x,y\n1,2\na,b,c\n", "line 3: expected 2 fields, got 3"),
+    ("x,y", "x,y\n1,2\n3,b\n", "line 3: not a number: could not convert string to float: 'b'"),
+    ("x,y,p", "x,y,p\n1,2,0.5\n3,4\n5,6,q\n", "line 3: expected 3 fields, got 2"),
+    ("x,y,p", "x,y,p\n1,2,0.5\n3,4,q\n5,6\n", "line 3: not a number: could not convert string to float: 'q'"),
+    # quoted fields: one field, commas included
+    ("x,y", '"x","y"\n"1.5","-2e3"\n', [[1.5, -2000.0]]),
+    ("x,y", 'x,y\n1,2\n"3,5",4\n', "line 3: not a number: could not convert string to float: '3,5'"),
+    # CRLF line ends, and blank lines in the middle
+    ("x,y", "x,y\r\n1,2\r\n\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("x,y", "x,y\n1,2\n\n\n3,4\n\n5,x\n", "line 7: not a number: could not convert string to float: 'x'"),
+    ("x,y", "x,y\n\n 1 , 2\n\n\n-0.0,1e-320\n\n", [[1.0, 2.0], [-0.0, 1e-320]]),
+    # a line of one space is a row of one field
+    ("x,y", "x,y\n1,2\n \n", "line 3: expected 2 fields, got 1"),
+    ("x,y", "x,y\n\n\n", "line 2: no data rows"),
+])
+def test_one_pass_reader_matches_the_row_loop(tmp_path, header, text, expected):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        for read in (read_float_csv, row_loop_floats):
+            with pytest.raises(CsvFormatError) as err:
+                read(path, header)
+            assert str(err.value) == expected
+    else:
+        got = read_float_csv(path, header)
+        assert got.tolist() == expected
+        assert np.array_equal(got, row_loop_floats(path, header))
+        assert np.signbit(got).tolist() == np.signbit(row_loop_floats(path, header)).tolist()
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # a field over csv's size limit stops the reading; an error in a row
+    # before it still wins, and it is raised as csv raised it otherwise
+    (["1,2", "1,a", "2," + "9" * 200_000], CsvFormatError,
+     "line 3: not a number: could not convert string to float: 'a'"),
+    (["1,2", "1", "2," + "9" * 200_000], CsvFormatError, "line 3: expected 2 fields, got 1"),
+    (["1,2", "2," + "9" * 200_000, "1,a"], csv.Error, "field larger than field limit (131072)"),
+], ids=["float_error_first", "width_error_first", "limit_first"])
+def test_an_error_that_stops_the_reading_comes_after_the_rows_before_it(
+    tmp_path, rows, error, message
+):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(["x,y", *rows]) + "\n")
+    for read in (read_float_csv, row_loop_floats):
+        with pytest.raises(error) as err:
+            read(path, "x,y")
+        assert str(err.value) == message

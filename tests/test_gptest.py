@@ -77,6 +77,18 @@ def line_draws(cov: GpCovariance, stat: float, z: np.ndarray, fixed=()) -> np.nd
     return np.where(top > stat, 1.0, np.where(top == stat, 0.5 + 0.5 * p, p))
 
 
+def antithetic(z: np.ndarray) -> np.ndarray:
+    """The draws of the pair construction in draw order: draw 2j from normal
+    row j of z and draw 2j + 1 from its negation."""
+    return np.stack([z, -z], axis=1).reshape(-1, z.shape[1])
+
+
+def pair_means(values: np.ndarray) -> np.ndarray:
+    """Means of the draw pairs (2j, 2j + 1); an odd last draw is its own mean."""
+    means = values[: len(values) // 2 * 2].reshape(-1, 2).mean(axis=1)
+    return np.append(means, values[-1:]) if len(values) % 2 else means
+
+
 def plain_maxima(cov: GpCovariance, n_sims: int, seed: int) -> np.ndarray:
     """Maxima of n_sims null paths drawn from the cell form
     V = sqrt(r) (Z - gamma w w.Z), with 0 joining the maximum where the
@@ -266,15 +278,17 @@ class TestPvalueBounds:
 
     def test_each_draw_takes_dim_normals(self):
         # the documented construction, drawn from the one stream of the seed:
-        # draw j takes normals j * dim to (j + 1) * dim - 1 of make_rng(3)
+        # normal row j, normals j * dim to (j + 1) * dim - 1 of make_rng(3),
+        # gives draw 2j from Z_j and draw 2j + 1 from -Z_j
         s = case_sample("C8", 100, seed=6)
         cov = build_covariance(build_grid(s, 100), s)
-        z = make_rng(3).standard_normal((5000, cov.dim))
+        z = make_rng(3).standard_normal((2500, cov.dim))
         for stat in (0.5, 1.0, 1.5):
-            expected = line_draws(cov, stat, z)
+            expected = line_draws(cov, stat, antithetic(z))
             p1 = pvalue_bounds(cov, stat, 5000, seed=3)
             assert p1 == pytest.approx(expected.mean(), rel=1e-12)
-            assert p1.se == pytest.approx(expected.std(ddof=1) / np.sqrt(5000), rel=1e-9)
+            means = pair_means(expected)
+            assert p1.se == pytest.approx(means.std(ddof=1) / np.sqrt(2500), rel=1e-9)
 
     def test_monotone_in_statistic(self):
         s = case_sample("C8", 80, seed=8)
@@ -345,9 +359,9 @@ class TestLineEstimator:
         monkeypatch.setattr(gptest, "_line",
                             lambda c: gptest._Line(line.sqrt_r, line.w, cells, line.jstar,
                                                    line.sd, line.floor, True))
-        z = make_rng(5).standard_normal((3000, cov.dim))
+        z = make_rng(5).standard_normal((1500, cov.dim))
         for stat in (0.5, 1.0):
-            expected = line_draws(cov, stat, z, fixed=(i,))
+            expected = line_draws(cov, stat, antithetic(z), fixed=(i,))
             assert pvalue_bounds(cov, stat, 3000, seed=5) == pytest.approx(expected.mean(),
                                                                             rel=1e-12)
 
@@ -381,7 +395,8 @@ def test_default_draws_meet_their_rule_on_the_sample_that_sized_them():
 
 
 # Mid-p counts of maxima above the statistic that indicator counting drew
-# at seed 99, and the line estimator's p1 at the same seed
+# at seed 99, and the line estimator's p1, from antithetic pairs, at the
+# same seed
 PINNED_COUNTS = [
     ("C3", 50, 1, 2000, 782),
     ("C3", 50, 1, 70_000, 28486),
@@ -391,12 +406,12 @@ PINNED_COUNTS = [
     ("C1", 100, 2, 70_000, 69425.5),
 ]
 PINNED_P1 = {
-    ("C3", 2000): 0.4026715338286167,
-    ("C3", 70_000): 0.4081308205577301,
-    ("C8", 2000): 0.0065540560305338905,
-    ("C8", 70_000): 0.0067476043521369124,
-    ("C1", 2000): 0.9927316825173466,
-    ("C1", 70_000): 0.9916251226472126,
+    ("C3", 2000): 0.4024440384730862,
+    ("C3", 70_000): 0.4077346028439884,
+    ("C8", 2000): 0.006652948219740967,
+    ("C8", 70_000): 0.006760669255815174,
+    ("C1", 2000): 0.9919437851239205,
+    ("C1", 70_000): 0.9915278579626887,
 }
 
 
@@ -457,9 +472,9 @@ class TestEarlyStop:
     @pytest.mark.parametrize("stop_at", [0.0, -1.0, float("nan")])
     def test_stop_at_must_be_positive(self, stop_at):
         # any sum reaches stop_at <= 0 after the first block, which would
-        # return a p1 that rejects where the full test (p1 0.9936) does not
+        # return a p1 that rejects where the full test (p1 0.9940) does not
         s = case_sample("C1", 100, seed=3)
-        assert gptest.test_st_wj(s, seed=5).p1 == pytest.approx(0.9936050817956652, rel=1e-12)
+        assert gptest.test_st_wj(s, seed=5).p1 == pytest.approx(0.994024860010961, rel=1e-12)
         cov = build_covariance(build_grid(s, 100), s)
         with pytest.raises(ParameterError, match="stop_at must be > 0"):
             pvalue_bounds(cov, statistic_and_t_star(s)[0], 2000, seed=5, stop_at=stop_at)
@@ -468,37 +483,39 @@ class TestEarlyStop:
 
 
 class _RecordingRng:
-    """A generator proxy that records the shape of every normal block."""
+    """A generator proxy that records the shape of every block of normals."""
 
     def __init__(self, rng, shapes):
         self._rng = rng
         self._shapes = shapes
 
-    def standard_normal(self, shape):
-        self._shapes.append(shape)
-        return self._rng.standard_normal(shape)
+    def standard_normal(self, size=None, *, out=None):
+        self._shapes.append(size if out is None else out.shape)
+        return self._rng.standard_normal(size, out=out)
+
+
+def record_blocks(monkeypatch):
+    """Record every block of normals drawn from the one stream."""
+    shapes = []
+    monkeypatch.setattr(gptest, "make_rng", lambda seed: _RecordingRng(make_rng(seed), shapes))
+    return shapes
 
 
 class TestBlockMemoryBound:
-    def record_blocks(self, monkeypatch):
-        """Record every normal block of the one stream."""
-        shapes = []
-        monkeypatch.setattr(gptest, "make_rng", lambda seed: _RecordingRng(make_rng(seed), shapes))
-        return shapes
-
     def test_blocks_are_unchanged_up_to_dim_128(self, monkeypatch):
         cov = GpCovariance(cell=np.arange(1, 129), r=np.full(128, 1 / 128), q=np.zeros(128),
                            n_points=129)
         # where the run can stop early, blocks grow from 256 by 4 to 2048
         # draws, which 64 MiB does not lower at dim 128; this stop_at is
         # never reached
-        shapes = self.record_blocks(monkeypatch)
+        shapes = record_blocks(monkeypatch)
         assert pvalue_bounds(cov, 1.0, 100_000, seed=3, stop_at=0.99) < 0.99
-        assert shapes == [(256, 128), (1_024, 128)] + [(2_048, 128)] * 48 + [(416, 128)]
+        # (a block of B draws takes B / 2 normal rows)
+        assert shapes == [(128, 128), (512, 128)] + [(1_024, 128)] * 48 + [(208, 128)]
         # a run that makes every draw takes the largest blocks from the start
-        shapes = self.record_blocks(monkeypatch)
+        shapes = record_blocks(monkeypatch)
         pvalue_bounds(cov, 1.0, 100_000, seed=3)
-        assert shapes == [(2_048, 128)] * 48 + [(1_696, 128)]
+        assert shapes == [(1_024, 128)] * 48 + [(848, 128)]
 
     @pytest.mark.parametrize("case, n, seed, n_sims, count",
                              [PINNED_COUNTS[i] for i in (0, 3, 5)])
@@ -509,11 +526,12 @@ class TestBlockMemoryBound:
         stat = statistic_and_t_star(s)[0]
         full = pvalue_bounds(cov, stat, n_sims, seed=99)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 100)
-        shapes = self.record_blocks(monkeypatch)
+        shapes = record_blocks(monkeypatch)
         capped = pvalue_bounds(cov, stat, n_sims, seed=99)
         assert (capped, capped.se) == (full, full.se)
-        assert max(rows for rows, _ in shapes) == 100
-        assert sum(rows for rows, _ in shapes) == n_sims
+        # 100 draws take 50 normal rows
+        assert max(rows for rows, _ in shapes) == 50
+        assert sum(rows for rows, _ in shapes) == n_sims // 2
         assert_near_the_indicator_count(capped, count, n_sims)
 
     def test_a_budget_below_one_draw_still_draws_one(self, monkeypatch):
@@ -522,7 +540,7 @@ class TestBlockMemoryBound:
         stat = statistic_and_t_star(s)[0]
         full = pvalue_bounds(cov, stat, 300, seed=99)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 1)
-        shapes = self.record_blocks(monkeypatch)
+        shapes = record_blocks(monkeypatch)
         assert pvalue_bounds(cov, stat, 300, seed=99) == full
         assert set(shapes) == {(1, cov.dim)}
 
@@ -533,12 +551,70 @@ class TestBlockMemoryBound:
         stat = statistic_and_t_star(s)[0]
         full = pvalue_bounds(cov, stat, 2000, seed=99)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 64)
-        shapes = self.record_blocks(monkeypatch)
+        shapes = record_blocks(monkeypatch)
         for level in (0.01, 0.05, 0.5):
             stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=level)
             assert stopped <= full
             assert (stopped < level) == (full < level)
-        assert max(rows for rows, _ in shapes) == 64
+        assert max(rows for rows, _ in shapes) == 32
+
+
+# the 0.95 quantile of 4 * 10**5 plain maxima (seed 11) of the C3 sample
+# of 300 pairs, seed 3
+C3_300_Q95 = 1.8572
+
+
+class TestAntitheticPairs:
+    """Draw 2j comes from normal row j, Z_j, and draw 2j + 1 from -Z_j; p_se
+    is the spread of the pair means. Both bounds of the spread tests were
+    fixed before they were first run."""
+
+    @pytest.mark.parametrize("n_sims", [1280, 2001])
+    def test_a_run_takes_one_normal_row_per_pair(self, monkeypatch, n_sims):
+        cov = cov_of(case_sample("C3", 300, seed=3))
+        for stop_at in (1.0, 0.99):  # 0.99 is never reached, so every draw is made
+            shapes = record_blocks(monkeypatch)
+            assert pvalue_bounds(cov, 1.0, n_sims, seed=7, stop_at=stop_at) < stop_at
+            assert sum(rows * dim for rows, dim in shapes) == (n_sims + 1) // 2 * cov.dim
+        # a run that stops after its first block of 256 draws took 128 rows
+        shapes = record_blocks(monkeypatch)
+        assert pvalue_bounds(cov, 1.0, n_sims, seed=7, stop_at=0.02) >= 0.02
+        assert shapes == [(128, cov.dim)]
+
+    def test_an_odd_run_leaves_the_last_negated_draw_out(self, monkeypatch):
+        cov = cov_of(case_sample("C3", 300, seed=3))
+        z = make_rng(4).standard_normal((1001, cov.dim))
+        for stat in (0.5, 1.5):
+            expected = line_draws(cov, stat, antithetic(z)[:2001])
+            p1 = pvalue_bounds(cov, stat, 2001, seed=4)
+            assert p1 == pytest.approx(expected.mean(), rel=1e-12)
+            means = pair_means(expected)
+            assert len(means) == 1001
+            assert p1.se == pytest.approx(means.std(ddof=1) / np.sqrt(1001), rel=1e-9)
+            # blocks of 256, 1024 and 721 draws on the stop path, or of at
+            # most 100, give p1 and se bit for bit
+            stopped = pvalue_bounds(cov, stat, 2001, seed=4, stop_at=1.5)
+            with monkeypatch.context() as capped:
+                capped.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 101)
+                small = pvalue_bounds(cov, stat, 2001, seed=4)
+            assert (stopped, stopped.se) == (small, small.se) == (p1, p1.se)
+
+    def test_p_se_matches_the_spread_of_p1_over_seeds(self):
+        cov = cov_of(case_sample("C3", 300, seed=3))
+        runs = [pvalue_bounds(cov, C3_300_Q95, 1280, seed=seed) for seed in range(400)]
+        p1 = np.array([float(p) for p in runs])
+        ratio = np.mean([p.se for p in runs]) / p1.std(ddof=1)
+        assert 0.85 <= ratio <= 1.15, ratio
+
+    def test_pairs_cut_the_variance_per_normal_row(self):
+        # one normal row gives one value drawn alone, or one pair mean
+        cov = cov_of(case_sample("C3", 300, seed=3))
+        alone = gptest._draw(make_rng(5).standard_normal((20_000, cov.dim)), C3_300_Q95,
+                             gptest._line(cov))
+        pairs = pvalue_bounds(cov, C3_300_Q95, 40_000, seed=6)
+        assert 0.04 < pairs < 0.06
+        ratio = alone.var(ddof=1) / (pairs.se**2 * 20_000)
+        assert ratio >= 1.5, ratio
 
 
 def record_thread_starts(monkeypatch):
