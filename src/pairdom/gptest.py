@@ -165,7 +165,8 @@ class TestResult:
     supremum, cells is the simulation's effective dimension
     (GpCovariance.dim) and p_se the Monte Carlo standard error of p1: the
     sample standard deviation of the means of the antithetic draw pairs
-    over the square root of their number.
+    over the square root of their number, or 0 where pvalue_bounds
+    settled p1 without drawing.
     """
 
     statistic: float
@@ -322,10 +323,10 @@ class _Line:
     fixed: bool
 
 
-def _line(c: GpCovariance) -> _Line:
-    sqrt_r = np.sqrt(c.r)
-    w = c.q / sqrt_r
-    gamma = 1.0 / (1.0 + math.sqrt(max(0.0, 1.0 - float(w @ w))))
+def _path_moments(c: GpCovariance) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(Q, R, first, floor): the suffix sums Q_i and R_i of q and r over
+    cells >= i for each path value W_i that the loop forms, i >= first, so
+    that Var W_i = R_i - Q_i^2; and the floor of the maximum."""
     big_q = np.cumsum(c.q[::-1])[::-1]
     big_r = np.cumsum(c.r[::-1])[::-1]
     # W below the smallest |d| is the sum over all cells, with variance
@@ -336,7 +337,14 @@ def _line(c: GpCovariance) -> _Line:
     first = int(c.dim > 0 and big_r[0] - big_q[0] ** 2 < 1e-12)
     # W = 0 at grid points past every cell, so the maximum is at least 0
     floor = 0.0 if first or c.dim == 0 or c.cell[-1] < c.n_points else -np.inf
-    big_q, big_r = big_q[first:], big_r[first:]
+    return big_q[first:], big_r[first:], first, floor
+
+
+def _line(c: GpCovariance) -> _Line:
+    sqrt_r = np.sqrt(c.r)
+    w = c.q / sqrt_r
+    gamma = 1.0 / (1.0 + math.sqrt(max(0.0, 1.0 - float(w @ w))))
+    big_q, big_r, first, floor = _path_moments(c)
     var = big_r - big_q * big_q
     jstar = int(np.argmax(var)) if len(var) else 0
     sd = math.sqrt(var[jstar]) if len(var) and var[jstar] > 0.0 else 0.0
@@ -389,9 +397,42 @@ def _draw(z: np.ndarray, stat: float, line: _Line) -> np.ndarray:
     return out
 
 
+# The largest probability with which pvalue_bounds may, given lowest_level,
+# return a decision that differs from the full simulation's without
+# drawing; fixed, and settable by no caller.
+_SETTLE_RISK = 1e-3
+
+
+def _settle(c: GpCovariance, stat: float, n_sims: int, stop_at: float,
+            lowest_level: float | None) -> float | None:
+    """A p1 that settles every level the caller compares it with before
+    anything is drawn, or None (see pvalue_bounds): 0.5 at a statistic
+    <= 0 with the zero floor; given lowest_level, the union bound on the
+    null tail where it rejects every level, or the largest one-point tail
+    where it keeps every level."""
+    big_q, big_r, _, floor = _path_moments(c)
+    if stop_at <= 0.5 and stat <= 0.0 and floor == 0.0:
+        return 0.5
+    if lowest_level is None:
+        return None
+    var = big_r - big_q * big_q
+    tails = _upper_tail(stat / np.sqrt(var[var > 0.0]))
+    if stat > 0.0:
+        union = float(tails.sum())
+        if union <= _SETTLE_RISK * lowest_level:
+            return union
+    pairs = n_sims // 2
+    one_point = float(tails.max()) if len(tails) else 0.0
+    if one_point >= (stop_at * n_sims / (2 * pairs)
+                     + math.sqrt(math.log(1.0 / _SETTLE_RISK) / (2 * pairs))):
+        return one_point
+    return None
+
+
 class _PValue(float):
-    """A simulated p-value p1, with se, the standard error of the mean of
-    the draws made."""
+    """A simulated p-value p1, with se, its standard error: the sample
+    standard deviation of the pair means over the square root of their
+    number, or 0 where no draw was made."""
 
     __slots__ = ("se",)
 
@@ -408,6 +449,7 @@ def pvalue_bounds(
     seed: int,
     *,
     stop_at: float = 1.0,
+    lowest_level: float | None = None,
 ) -> float:
     """Monte Carlo p-value upper bound p1 for the statistic.
 
@@ -433,6 +475,27 @@ def pvalue_bounds(
     the same. Only a run that can stop early (stop_at < 1) starts with
     blocks of 256 draws, growing by a factor of 4. stop_at must be > 0:
     ParameterError otherwise, NaN included.
+
+    Some runs return before the first draw, with se 0. With stop_at <= 1/2,
+    a statistic <= 0 and the path's zero floor (every build_grid
+    covariance has it), every draw adds at least 1/2 (see Ties), so the
+    full p1 is >= 1/2 and the run returns 0.5, which lies in [stop_at,
+    full p1]: that is exact. A caller that compares p1 only with levels
+    in [lowest_level, stop_at] may pass lowest_level, which must lie in
+    (0, stop_at]. Then two closed-form bounds on the null tail, from the
+    null sd_i > 0 of the path values, may settle every such level; each
+    decision then differs from the full run's with probability at most
+    _SETTLE_RISK = 1e-3:
+
+    - the union bound B = sum_i Phi(-stat / sd_i) for stat > 0 is >= p,
+      the mean of the full p1. Where B <= 1e-3 * lowest_level, Markov's
+      inequality gives P(full p1 >= level) <= B / level <= 1e-3 at every
+      level >= lowest_level, and the run returns B;
+    - l = max_i Phi(-stat / sd_i) is <= p, and the full p1 is at least
+      2m / n_sims times the mean of its m = n_sims // 2 pair means, each
+      in [0, 1]. Where l >= stop_at * n_sims / (2m) + sqrt(ln(1e3) / (2m)),
+      Hoeffding's inequality (Hoeffding 1963, JASA 58:13-30) gives
+      P(full p1 < stop_at) <= 1e-3, and the run returns l.
     """
     if not np.isfinite(stat):
         raise ParameterError(f"statistic must be finite, got {stat}")
@@ -440,6 +503,12 @@ def pvalue_bounds(
         raise ParameterError(f"n_sims must be >= 100, got {n_sims}")
     if not stop_at > 0:  # NaN too
         raise ParameterError(f"stop_at must be > 0, got {stop_at}")
+    if lowest_level is not None and not 0 < lowest_level <= stop_at:
+        raise ParameterError(f"lowest_level must lie in (0, stop_at], got {lowest_level}")
+    if stop_at <= 0.5 or lowest_level is not None:
+        settled = _settle(c, stat, n_sims, stop_at, lowest_level)
+        if settled is not None:
+            return _PValue(settled, 0.0)
     line = _line(c)
     rng = make_rng(seed)
     # whole pairs of draws in every block but the last; a budget below one
@@ -483,6 +552,7 @@ def test_st_wj(
     *,
     seed: int,
     stop_at: float = 1.0,
+    lowest_level: float | None = None,
 ) -> TestResult:
     """Full test of the null 'X is dominated by Y' on a paired sample.
 
@@ -491,18 +561,21 @@ def test_st_wj(
     covariance and the simulated p-value; fully deterministic for a fixed
     seed.
 
-    stop_at is passed to pvalue_bounds, for callers that compare p1 only
-    with levels <= stop_at. p1 is exact when it is below stop_at and
-    otherwise lies in [stop_at, full p1], so reject_at(level) is exact for
-    every level <= stop_at. With the default 1.0, p1 is the full
-    simulation's.
+    stop_at and lowest_level are passed to pvalue_bounds, for callers
+    that compare p1 only with levels <= stop_at, or in [lowest_level,
+    stop_at]. With stop_at alone, p1 is exact when it is below stop_at
+    and otherwise lies in [stop_at, full p1], so reject_at(level) is exact
+    for every level <= stop_at. With lowest_level too, p1 may come from a
+    bound on the null tail, and reject_at(level) for a level in
+    [lowest_level, stop_at] differs from the full test's with probability
+    at most 1e-3. With the defaults, p1 is the full simulation's.
     """
     if s.n < 2:
         raise ParameterError("the test needs at least two pairs")
     grid = build_grid(s, k)
     stat, t_star = statistic_and_t_star(s)
     cov = build_covariance(grid, s)
-    p1 = pvalue_bounds(cov, stat, n_sims, seed, stop_at=stop_at)
+    p1 = pvalue_bounds(cov, stat, n_sims, seed, stop_at=stop_at, lowest_level=lowest_level)
     return TestResult(
         statistic=stat,
         t_star=t_star,

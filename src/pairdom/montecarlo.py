@@ -45,11 +45,19 @@ and reaped when the interpreter exits.
 
 A replication asks the dominance test only whether p1 < level for each
 configured level, so the harness calls gptest.test_st_wj with
-stop_at = max(levels) in place of the default 1.0. The draws are the
-same as in any other run; once their running sum reaches that level,
-the full p1 can only be larger and no level rejects, so the remaining
-draws are skipped. The decisions, and hence every rate, are the same as
-from the full test.
+stop_at = max(levels) and lowest_level = min(levels) in place of the
+defaults. The draws are the same as in any other run; once their running
+sum reaches max(levels), the full p1 can only be larger and no level
+rejects, so the remaining draws are skipped. Before any draw,
+gptest.pvalue_bounds may settle the replication from the cell form: at
+statistic 0, where every draw adds at least 1/2, exactly; or by the
+union bound on the null tail (a rejection, overturned by the full p1
+with probability at most 1e-3 by Markov's inequality) or by the largest
+one-point tail (a keep, overturned with probability at most 1e-3 by
+Hoeffding's inequality). So the decisions are the full test's where the
+simulation stops and at statistic 0, and elsewhere each differs from
+the full test's with probability at most 1e-3 (gptest._SETTLE_RISK, a
+fixed constant).
 
 An ExperimentConfig lists each test and each level at most once. A
 RejectionReport keeps the ExperimentConfig it ran as config; its CSV and
@@ -362,7 +370,8 @@ def _stwj_tally(cfg: ExperimentConfig, replications: range,
         try:
             result = gptest.test_st_wj(
                 sample, cfg.k, cfg.n_sims,
-                seed=derive_seed(cfg.master_seed, r, 1), stop_at=max(cfg.levels),
+                seed=derive_seed(cfg.master_seed, r, 1),
+                stop_at=max(cfg.levels), lowest_level=min(cfg.levels),
             )
         except DegenerateSampleError:
             tally[-1] += 1

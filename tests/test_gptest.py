@@ -15,7 +15,7 @@ from pairdom.empirical import PairedSample, statistic_and_t_star
 from pairdom.errors import CapacityError, DegenerateSampleError, ParameterError
 from pairdom.gptest import GpCovariance, Grid, build_covariance, build_grid, pvalue_bounds
 from pairdom.montecarlo import generate_scenario, scenario
-from pairdom.seeding import make_rng
+from pairdom.seeding import derive_seed, make_rng
 
 
 def case_sample(case_id: str, n: int, seed: int) -> PairedSample:
@@ -441,15 +441,28 @@ class TestEarlyStop:
         full = pvalue_bounds(cov, stat, n_sims, seed=99)
         assert pvalue_bounds(cov, stat, n_sims, seed=99, stop_at=1.5) == full
 
-    def test_stops_after_the_first_block_that_settles_it(self):
-        s = case_sample("C1", 100, seed=2)
+    def test_stops_after_the_first_block_that_settles_it(self, monkeypatch):
+        # a positive statistic with p1 near 0.8: the first block of 256 draws
+        # settles 0.05
+        s = case_sample("C3", 50, seed=4)
         cov = build_covariance(build_grid(s, 100), s)
         stat = statistic_and_t_star(s)[0]
+        assert stat > 0.0
         full = pvalue_bounds(cov, stat, 2000, seed=99)
         stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=0.05)
         first_block = pvalue_bounds(cov, stat, 256, seed=99)
         assert stopped == first_block * 256 / 2000
         assert 0.05 <= stopped < full
+        # at a zero statistic (C1 is ordered) every draw adds at least 1/2, so
+        # a stop_at <= 1/2 is settled at 0.5 before any draw
+        s = case_sample("C1", 100, seed=2)
+        cov = build_covariance(build_grid(s, 100), s)
+        assert statistic_and_t_star(s)[0] == 0.0
+        full = pvalue_bounds(cov, 0.0, 2000, seed=99)
+        shapes = record_blocks(monkeypatch)
+        stopped = pvalue_bounds(cov, 0.0, 2000, seed=99, stop_at=0.05)
+        assert (stopped, stopped.se, shapes) == (0.5, 0.0, [])
+        assert 0.05 <= stopped <= full
 
     def test_count_equal_to_the_level_does_not_reject(self):
         # a stop_at equal to the full p1 is reached by the last draw only,
@@ -461,13 +474,20 @@ class TestEarlyStop:
         assert stopped == full
         assert not stopped < full
 
-    def test_ties_at_zero_count_one_half_before_the_stop(self):
+    def test_ties_at_zero_count_one_half_before_the_stop(self, monkeypatch):
         # the one live point is N(0, 1) and the maximum is max(W, 0); given
         # the draw off its line (nothing here) W > 0 has probability 1/2, so
-        # each draw adds 1/2 + 1/2 * 1/2 and the first block of 256 settles it
+        # each draw adds 1/2 + 1/2 * 1/2 and the first block of 256 settles
+        # a stop_at above 1/2
         cov = unit_variance_cov()
-        assert 256 * 0.75 / 2000 >= 0.05
-        assert pvalue_bounds(cov, 0.0, 2000, seed=5, stop_at=0.05) == 256 * 0.75 / 2000
+        assert 256 * 0.75 / 300 >= 0.6
+        assert pvalue_bounds(cov, 0.0, 300, seed=5, stop_at=0.6) == 256 * 0.75 / 300
+        # a stop_at <= 1/2 is settled at 0.5, below the full p1, with no draw
+        full = pvalue_bounds(cov, 0.0, 2000, seed=5)
+        assert full == 0.75
+        shapes = record_blocks(monkeypatch)
+        stopped = pvalue_bounds(cov, 0.0, 2000, seed=5, stop_at=0.05)
+        assert (stopped, stopped.se, shapes) == (0.5, 0.0, [])
 
     @pytest.mark.parametrize("stop_at", [0.0, -1.0, float("nan")])
     def test_stop_at_must_be_positive(self, stop_at):
@@ -552,7 +572,9 @@ class TestBlockMemoryBound:
         full = pvalue_bounds(cov, stat, 2000, seed=99)
         monkeypatch.setattr(gptest, "_BLOCK_BYTES", 8 * cov.dim * 64)
         shapes = record_blocks(monkeypatch)
-        for level in (0.01, 0.05, 0.5):
+        # at C1's zero statistic the levels <= 1/2 are settled before any
+        # draw, so 0.9 is the level there that draws
+        for level in (0.01, 0.05, 0.5, 0.9):
             stopped = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=level)
             assert stopped <= full
             assert (stopped < level) == (full < level)
@@ -615,6 +637,83 @@ class TestAntitheticPairs:
         assert 0.04 < pairs < 0.06
         ratio = alone.var(ddof=1) / (pairs.se**2 * 20_000)
         assert ratio >= 1.5, ratio
+
+
+def tail_bounds(s: PairedSample, k=100) -> tuple[float, float]:
+    """The union bound sum_i Phi(-stat / sd_i) and the largest one-point
+    tail max_i Phi(-stat / sd_i) over the path values W_i just below each
+    cell, with sd_i > 0 from the closed-form covariance at grid point
+    cell_i - 1."""
+    g = build_grid(s, k)
+    stat = statistic_and_t_star(s)[0]
+    var = np.diag(closed_form_covariance(g, s))[build_covariance(g, s).cell - 1]
+    tails = ndtr(-stat / np.sqrt(var[var > 1e-12]))
+    return float(tails.sum()), float(tails.max())
+
+
+def harness_replication(case: str, n: int, r: int, master_seed=2718):
+    """Replication r's sample and the seed of its test, as the harness
+    draws them."""
+    return (generate_scenario(scenario(case), n, derive_seed(master_seed, r, 0)),
+            derive_seed(master_seed, r, 1))
+
+
+class TestSettle:
+    """With lowest_level, pvalue_bounds may settle a decision before any
+    draw. Every bound here was fixed before the tests were first run."""
+
+    @pytest.mark.parametrize("case, n", [("C6", 50), ("C7", 100), ("C8", 100)])
+    def test_the_tail_bounds_enclose_p(self, case, n):
+        # B >= p >= l, checked against 10**5 draws on the samples of seeds
+        # 0-3 whose B lies in [1e-3, 0.5]
+        checked = 0
+        for seed in range(4):
+            s = case_sample(case, n, seed)
+            union, one_point = tail_bounds(s)
+            if not 1e-3 <= union <= 0.5:
+                continue
+            p1 = pvalue_bounds(cov_of(s), statistic_and_t_star(s)[0], 100_000, seed=7)
+            assert union >= p1 - 4 * p1.se, (seed, union, float(p1), p1.se)
+            assert one_point <= p1 + 4 * p1.se, (seed, one_point, float(p1), p1.se)
+            checked += 1
+        assert checked
+
+    def test_a_settled_run_returns_its_bound_with_no_standard_error(self):
+        # a C5 replication rejects by the union bound, a C3 one is kept by
+        # the one-point tail
+        for case, n, r, pick in [("C5", 50, 0, 0), ("C3", 500, 0, 1)]:
+            s, seed = harness_replication(case, n, r)
+            res = gptest.test_st_wj(s, seed=seed, n_sims=2000, stop_at=0.05, lowest_level=0.01)
+            assert res.p_se == 0.0
+            assert res.p1 == pytest.approx(tail_bounds(s)[pick], rel=1e-9)
+            assert res.reject_at(0.01) == (pick == 0)
+
+    def test_settled_replications_draw_no_normals(self, monkeypatch):
+        for case, n in [("C5", 50), ("C1", 100)]:
+            s, seed = harness_replication(case, n, 0)
+            shapes = record_blocks(monkeypatch)
+            gptest.test_st_wj(s, seed=seed, n_sims=2000, stop_at=0.05, lowest_level=0.01)
+            assert shapes == []
+
+    def test_a_sample_near_the_level_draws_as_before(self, monkeypatch):
+        # p1 near 0.007: neither bound settles 0.01, so the draws, p1 and
+        # se are those of the stop path alone
+        s = case_sample("C8", 100, seed=6)
+        cov, stat = cov_of(s), statistic_and_t_star(s)[0]
+        shapes = record_blocks(monkeypatch)
+        plain = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=0.05)
+        plain_shapes = list(shapes)
+        shapes = record_blocks(monkeypatch)
+        settled = pvalue_bounds(cov, stat, 2000, seed=99, stop_at=0.05, lowest_level=0.01)
+        assert shapes == plain_shapes and sum(rows for rows, _ in shapes) == 1000
+        assert (settled, settled.se) == (plain, plain.se)
+        assert 0.005 < settled < 0.01
+
+    @pytest.mark.parametrize("lowest_level", [0.0, -0.01, 0.06, float("nan")])
+    def test_lowest_level_must_lie_in_0_to_stop_at(self, lowest_level):
+        cov = cov_of(case_sample("C3", 50, seed=1))
+        with pytest.raises(ParameterError, match="lowest_level must lie in"):
+            pvalue_bounds(cov, 1.0, 2000, seed=5, stop_at=0.05, lowest_level=lowest_level)
 
 
 def record_thread_starts(monkeypatch):
@@ -787,13 +886,22 @@ class TestFullTest:
         assert type(res.p1) is float
 
     def test_stop_at_ends_the_simulation_early(self):
-        # C1 is ordered, so p1 is near 1 and the first block of 256 settles 0.05
-        s = case_sample("C1", 100, seed=2)
+        # a positive statistic with p1 near 0.8: the first block of 256
+        # settles 0.05
+        s = case_sample("C3", 50, seed=4)
         full = gptest.test_st_wj(s, 100, 2000, seed=99)
         stopped = gptest.test_st_wj(s, 100, 2000, seed=99, stop_at=0.05)
         first_block = gptest.test_st_wj(s, 100, 256, seed=99)
+        assert stopped.statistic > 0.0
         assert stopped.p1 == first_block.p1 * 256 / 2000
         assert 0.05 <= stopped.p1 < full.p1
+        assert not stopped.reject_at(0.05) and not full.reject_at(0.05)
+        # C1 is ordered: at its zero statistic 0.05 is settled at 0.5, no draw
+        s = case_sample("C1", 100, seed=2)
+        full = gptest.test_st_wj(s, 100, 2000, seed=99)
+        stopped = gptest.test_st_wj(s, 100, 2000, seed=99, stop_at=0.05)
+        assert (stopped.statistic, stopped.p1, stopped.p_se) == (0.0, 0.5, 0.0)
+        assert stopped.p1 <= full.p1
         assert not stopped.reject_at(0.05) and not full.reject_at(0.05)
 
     def test_degenerate_sample_raises(self):

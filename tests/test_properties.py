@@ -126,3 +126,27 @@ def test_early_stop_is_a_lower_bound_that_keeps_the_decision(d, k, stat, n_sims,
     assert stopped <= full
     assert stopped == full or stopped >= level
     assert (stopped < level) == (full < level)
+
+
+@given(
+    st.lists(st.integers(-50, 50).map(lambda v: v / 10), min_size=2, max_size=40),
+    st.integers(1, 30),
+    st.floats(0, 3),
+    st.integers(100, 3000),
+    st.floats(0.001, 0.999),
+    st.floats(0.001, 0.999),
+    st.integers(0, 2**31),
+)
+# a settled decision may differ from the full run's with probability up to
+# 1e-3, so the examples are fixed rather than drawn anew on each run
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_settled_decisions_are_the_full_tests(d, k, stat, n_sims, level_a, level_b, seed):
+    d = np.asarray(d)
+    assume(np.abs(d).max() > 0.0)
+    s = PairedSample(d, np.zeros_like(d))
+    cov = build_covariance(build_grid(s, k), s)
+    lowest, stop_at = sorted((level_a, level_b))
+    full = pvalue_bounds(cov, stat, n_sims, seed)
+    settled = pvalue_bounds(cov, stat, n_sims, seed, stop_at=stop_at, lowest_level=lowest)
+    for level in (lowest, (lowest + stop_at) / 2, stop_at):
+        assert (settled < level) == (full < level)
